@@ -213,20 +213,6 @@ def pp_family_formula(index, witness):
     raise DomainError(f"no pp family {index}")
 
 
-def ps_family_formula(index, witness):
-    """Raw (p, q, r) produced by a ps family formula at the witness."""
-    w = witness
-    if index == 1:
-        return w["p"], w["q"], w["p"] - w["k"] * w["q"]
-    if index == 2:
-        return w["p"], 3, w["p"] + w["i"]
-    if index == 3:
-        i, j, e = w["i"], w["j"], w["eps"]
-        q = 2 * j + 1
-        return i * q + j + (1 + e) // 2, q, (i + 1) * q + e
-    raise DomainError(f"no ps family {index}")
-
-
 def ps_flag_shape(triple, match):
     """Classify a predicate-invalid family instance into the two known
     small-parameter shapes; None if it fits neither."""
@@ -241,16 +227,19 @@ def ps_flag_shape(triple, match):
 # Censuses
 # ----------------------------------------------------------------------
 
-def all_triples(bound):
-    """Every valid normalized triple with p <= bound, sorted."""
-    out = []
+def _triples(bound):
+    """Every valid normalized triple with p <= bound, in sorted order."""
     for p in range(3, bound + 1):
         for q in range(2, p):
             if gcd(p, q) != 1:
                 continue
             for r in range(2, p + q + 1):
-                out.append(Triple(p, q, r))
-    return out
+                yield Triple(p, q, r)
+
+
+def all_triples(bound):
+    """Every valid normalized triple with p <= bound, sorted."""
+    return list(_triples(bound))
 
 
 @dataclass
@@ -278,61 +267,65 @@ class CensusReport:
                 + (f" ({parts})" if parts else ""))
 
 
+def _census(bound, report=None):
+    """The one census walk: one row per valid triple, in order, filling
+    the report as the rows pass.  Both tables are built up front, the
+    report's own first, so a bad bound is refused as its census does."""
+    kinds = ("ps", "pp") if report is not None and report.kind == "ps" else ("pp", "ps")
+    fam = {k: pp_families(bound) if k == "pp" else ps_families(bound) for k in kinds}
+    return _walk(bound, fam["pp"], fam["ps"], report)
+
+
+def _walk(bound, pp_fam, ps_fam, report):
+    for t in _triples(bound):
+        pp = is_pp(t)
+        pp_matches = pp_fam.get(t, [])
+        beta = middle_seifert_beta(t)
+        ps = beta is not None and is_primitive_Hprime(t)
+        ps_matches = ps_fam.get(t, [])
+        shapes = [] if ps else [ps_flag_shape(t, m) for m in ps_matches]
+        if report is not None and report.kind == "pp":
+            if pp != bool(pp_matches):
+                (report.missing if pp else report.extra).append(t)
+        elif report is not None:
+            if ps and not ps_matches:
+                report.missing.append(t)
+            report.flagged += [(t, m, s) for m, s in zip(ps_matches, shapes)]
+        yield {
+            "p": t.p,
+            "q": t.q,
+            "r": t.r,
+            "pp": pp,
+            "pp_families": [m.to_json_dict() for m in pp_matches],
+            "ps": ps,
+            "ps_beta": beta,
+            "ps_families": [m.to_json_dict() for m in ps_matches],
+            "flags": [f"predicate-invalid:{s or 'unexpected'}" for s in shapes],
+        }
+
+
+def _report(kind, bound, pp_fam, ps_fam):
+    """A census report alone needs only its own family table."""
+    report = CensusReport(kind, bound, [], [], [])
+    for _ in _walk(bound, pp_fam, ps_fam, report):
+        pass
+    return report
+
+
 def pp_census(bound):
     """Exhaustive comparison of the pp predicate against the five-family
     union; both difference sets should be empty."""
-    fam = pp_families(bound)
-    missing, extra = [], []
-    for t in all_triples(bound):
-        pred = is_pp(t)
-        cov = t in fam
-        if pred and not cov:
-            missing.append(t)
-        if cov and not pred:
-            extra.append(t)
-    return CensusReport("pp", bound, missing, extra, [])
+    return _report("pp", bound, pp_families(bound), {})
 
 
 def ps_census(bound):
     """Comparison of the middle-Seifert/primitive predicate against the
     three-family union.  Predicate-true triples must all be covered;
     family instances failing the predicate are flagged with their shape."""
-    fam = ps_families(bound)
-    missing = []
-    for t in all_triples(bound):
-        if middle_seifert_beta(t) is not None and is_primitive_Hprime(t):
-            if t not in fam:
-                missing.append(t)
-    flagged = []
-    for t, matches in sorted(fam.items()):
-        if middle_seifert_beta(t) is not None and is_primitive_Hprime(t):
-            continue
-        for m in matches:
-            flagged.append((t, m, ps_flag_shape(t, m)))
-    return CensusReport("ps", bound, missing, [], flagged)
+    return _report("ps", bound, {}, ps_families(bound))
 
 
 def census_rows(bound):
     """One classification row per valid triple, sorted; the row schema
     is shared by the JSON-lines and CSV census outputs."""
-    pp_fam = pp_families(bound)
-    ps_fam = ps_families(bound)
-    for t in all_triples(bound):
-        beta = middle_seifert_beta(t)
-        ps_ok = beta is not None and is_primitive_Hprime(t)
-        flags = []
-        for m in ps_fam.get(t, []):
-            if not ps_ok:
-                shape = ps_flag_shape(t, m)
-                flags.append(f"predicate-invalid:{shape or 'unexpected'}")
-        yield {
-            "p": t.p,
-            "q": t.q,
-            "r": t.r,
-            "pp": is_pp(t),
-            "pp_families": [m.to_json_dict() for m in pp_fam.get(t, [])],
-            "ps": ps_ok,
-            "ps_beta": beta,
-            "ps_families": [m.to_json_dict() for m in ps_fam.get(t, [])],
-            "flags": flags,
-        }
+    yield from _census(bound)

@@ -9,19 +9,19 @@ budget; an explicit --budget flag wins over the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .braids import BraidWord, TTKParams, braid_for
-from .classify import census_rows, pp_census, ps_census
+from .classify import CensusReport, _census
 from .errors import DomainError, TTKError
 from .horadam import (HoradamSpec, check_slope_relations,
                       embed_in_unit_sequence, euclid_trace, horadam_term,
-                      slope_s, slope_t)
+                      is_maximal_pair, slope_s, slope_t)
 from .invariants import (DEFAULT_CROSSING_BUDGET, DEFAULT_STRAND_LIMIT,
                          DEFAULT_TL_OPS, invariant_report, torus_alexander,
                          torus_jones)
@@ -29,23 +29,6 @@ from .knots import Limits, verify_lemma
 
 _CSV_COLUMNS = ["p", "q", "r", "pp", "pp_families", "ps", "ps_beta",
                 "ps_families", "flags"]
-
-
-@dataclass
-class CliConfig:
-    crossing_budget: int = DEFAULT_CROSSING_BUDGET
-    strand_limit: int = DEFAULT_STRAND_LIMIT
-    tl_ops: int = DEFAULT_TL_OPS
-    output_format: str = "text"
-    census_bound: int = 60
-
-    def __post_init__(self):
-        if self.crossing_budget < 1 or self.strand_limit < 1 or self.tl_ops < 1:
-            raise DomainError("budgets and limits must be >= 1")
-
-    def limits(self):
-        return Limits(crossing_budget=self.crossing_budget,
-                      strand_limit=self.strand_limit, tl_ops=self.tl_ops)
 
 
 def _build_parser():
@@ -128,9 +111,8 @@ def _cmd_horadam(args):
         print("quotients: " + " ".join(str(q) for q in tr.quotients))
         print("remainders: " + " ".join(str(r) for r in tr.remainders))
     elif args.subcommand == "maximal":
-        tr = euclid_trace(m, n)
-        verdict = all(q == 1 for q in tr.quotients[:-1]) and tr.q0 in (1, 2)
-        print(f"{'true' if verdict else 'false'} (q0={tr.q0})")
+        verdict = "true" if is_maximal_pair(m, n) else "false"
+        print(f"{verdict} (q0={euclid_trace(m, n).q0})")
     elif args.subcommand == "embed":
         emb = embed_in_unit_sequence(m, n)
         if emb is None:
@@ -196,29 +178,24 @@ def _census_row_text(row, fmt):
 
 
 def _cmd_census(args):
-    report = pp_census(args.bound) if args.kind == "pp" else ps_census(args.bound)
-    rows = census_rows(args.bound)
-    if args.out:
-        with open(args.out, "w") as fh:
-            if args.format == "csv":
-                fh.write(",".join(_CSV_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(_census_row_text(row, args.format) + "\n")
-        print(report.summary())
-    else:
+    report = CensusReport(args.kind, args.bound, [], [], [])
+    rows = _census(args.bound, report)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if args.format == "csv":
-            print(",".join(_CSV_COLUMNS))
+            fh.write(",".join(_CSV_COLUMNS) + "\n")
         for row in rows:
-            print(_census_row_text(row, args.format))
-        print(report.summary(), file=sys.stderr)
+            fh.write(_census_row_text(row, args.format) + "\n")
+    print(report.summary(), file=sys.stdout if args.out else sys.stderr)
     return 0 if report.ok else 1
 
 
 def _cmd_verify(args, limits):
+    needs = ("p", "q") if args.claim in ("lemma7", "lemma8") else ("m", "n")
+    if any(getattr(args, a) is None for a in needs):
+        print(f"error: verify {args.claim} needs -{needs[0]} and -{needs[1]}",
+              file=sys.stderr)
+        return 2
     if args.claim == "slopes":
-        if args.m is None or args.n is None:
-            print("error: verify slopes needs -m and -n", file=sys.stderr)
-            return 2
         rep = check_slope_relations(HoradamSpec(args.m, args.n), args.kmax)
         if args.format == "json":
             print(json.dumps({"claim": "slopes", "ok": rep.ok,
@@ -227,16 +204,9 @@ def _cmd_verify(args, limits):
         else:
             print("consistent" if rep.ok else f"violation: {rep.first_violation}")
         return 0 if rep.ok else 1
-    params = {}
     if args.claim in ("lemma7", "lemma8"):
-        if args.p is None or args.q is None:
-            print(f"error: verify {args.claim} needs -p and -q", file=sys.stderr)
-            return 2
         params = {"p": args.p, "q": args.q}
     else:
-        if args.m is None or args.n is None:
-            print(f"error: verify {args.claim} needs -m and -n", file=sys.stderr)
-            return 2
         params = {"m": args.m, "n": args.n, "k": args.k, "k_max": args.kmax}
     rep = verify_lemma(args.claim, params, limits)
     if args.format == "json":
@@ -248,23 +218,25 @@ def _cmd_verify(args, limits):
     return 0 if rep.verdict == "consistent" else 1
 
 
+def _env_budget():
+    """The crossing budget from TTK_BUDGET, or the default when unset."""
+    env = os.environ.get("TTK_BUDGET")
+    try:
+        return int(env) if env else DEFAULT_CROSSING_BUDGET
+    except ValueError:
+        raise DomainError(f"TTK_BUDGET must be an integer, got {env!r}") from None
+
+
 def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("TTK_BUDGET")
-        budget = int(env) if env else DEFAULT_CROSSING_BUDGET
     try:
-        config = CliConfig(crossing_budget=budget,
-                           strand_limit=args.strand_limit,
-                           tl_ops=args.tl_ops,
-                           output_format=getattr(args, "format", "text"),
-                           census_bound=getattr(args, "bound", 60))
+        budget = _env_budget() if args.budget is None else args.budget
+        limits = Limits(crossing_budget=budget, strand_limit=args.strand_limit,
+                        tl_ops=args.tl_ops)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    limits = config.limits()
     try:
         if args.command == "horadam":
             return _cmd_horadam(args)

@@ -233,9 +233,9 @@ def embed_in_unit_sequence(m, n):
     remainder, or m itself when the chain has a single division).  The
     embedding is always re-verified by regenerating the sequence.
     """
-    tr = euclid_trace(m, n)
-    if not (all(q == 1 for q in tr.quotients[:-1]) and tr.q0 in (1, 2)):
+    if not is_maximal_pair(m, n):
         return None
+    tr = euclid_trace(m, n)
     d = tr.remainders[-2] if len(tr.remainders) >= 2 else m
     if tr.q0 == 1:
         emb = Embedding(1, d, tr.l + 1)

@@ -89,13 +89,20 @@ def kauffman_bracket(word, budget=DEFAULT_CROSSING_BUDGET):
         loops = _state_loops(letters, n, state)
         key = (exp, loops)
         counts[key] = counts.get(key, 0) + 1
-    delta_pow = {0: Laurent.one("A")}
+    return _closure_sum((loops, {exp: cnt}) for (exp, loops), cnt in counts.items())
+
+
+def _closure_sum(pairs):
+    """Sum of terms * delta^(loops-1) over (loops, {A-exponent: coefficient})
+    pairs, adding the terms that share a loop count before multiplying."""
+    by_loops = {}
+    for loops, terms in pairs:
+        acc = by_loops.setdefault(loops, {})
+        for e, c in terms.items():
+            acc[e] = acc.get(e, 0) + c
     bracket = Laurent.zero("A")
-    for (exp, loops), cnt in counts.items():
-        k = loops - 1
-        if k not in delta_pow:
-            delta_pow[k] = _DELTA_A ** k
-        bracket = bracket + delta_pow[k] * Laurent.term(cnt, exp, "A")
+    for loops, terms in by_loops.items():
+        bracket = bracket + Laurent(terms, "A") * _DELTA_A ** (loops - 1)
     return bracket
 
 
@@ -153,14 +160,8 @@ def tl_predicted_ops(strands, crossings):
     return total
 
 
-def tl_bracket(word, strand_limit=DEFAULT_STRAND_LIMIT, ops_budget=DEFAULT_TL_OPS):
-    """Bracket polynomial via the Temperley-Lieb transfer: push the word
-    through the diagram basis one crossing at a time.
-
-    Coefficients are kept as raw exponent->coefficient dicts in A; the
-    crossing resolution only ever shifts exponents by +-1 and multiplies
-    by the loop value, so no general polynomial products are needed.
-    """
+def _check_tl_limits(word, strand_limit, ops_budget):
+    """Refuse a transfer before any work, on strands or predicted ops."""
     n = word.strands
     if n > strand_limit:
         raise BudgetError(
@@ -171,6 +172,18 @@ def tl_bracket(word, strand_limit=DEFAULT_STRAND_LIMIT, ops_budget=DEFAULT_TL_OP
         raise BudgetError(
             f"Temperley-Lieb transfer needs an estimated {predicted} diagram "
             f"operations; budget is {ops_budget}", kind="tl-ops", count=predicted)
+
+
+def tl_bracket(word, strand_limit=DEFAULT_STRAND_LIMIT, ops_budget=DEFAULT_TL_OPS):
+    """Bracket polynomial via the Temperley-Lieb transfer: push the word
+    through the diagram basis one crossing at a time.
+
+    Coefficients are kept as raw exponent->coefficient dicts in A; the
+    crossing resolution only ever shifts exponents by +-1 and multiplies
+    by the loop value, so no general polynomial products are needed.
+    """
+    _check_tl_limits(word, strand_limit, ops_budget)
+    n = word.strands
     vec = {_identity_diagram(n): {0: 1}}
     ops = 0
     for letter in word.letters:
@@ -215,14 +228,8 @@ def tl_bracket(word, strand_limit=DEFAULT_STRAND_LIMIT, ops_budget=DEFAULT_TL_OP
                     else:
                         del tgt[k]
         vec = {d: t for d, t in new.items() if t}
-    delta_pow = {0: Laurent.one("A")}
-    bracket = Laurent.zero("A")
-    for diag, terms in vec.items():
-        k = _closure_loops(diag, n) - 1
-        if k not in delta_pow:
-            delta_pow[k] = _DELTA_A ** k
-        bracket = bracket + Laurent(terms, "A") * delta_pow[k]
-    return bracket
+    return _closure_sum((_closure_loops(diag, n), terms)
+                        for diag, terms in vec.items())
 
 
 def _bracket_to_jones(bracket, writhe):

@@ -19,7 +19,8 @@ from .braids import TTKParams, braid_for
 from .errors import BudgetError, DomainError
 from .horadam import HoradamSpec, fibonacci, is_maximal_pair
 from .invariants import (DEFAULT_CROSSING_BUDGET, DEFAULT_STRAND_LIMIT,
-                         DEFAULT_TL_OPS, alexander, jones, torus_alexander)
+                         DEFAULT_TL_OPS, _check_tl_limits, alexander, jones,
+                         torus_alexander)
 
 # type index -> (p, q, r, sign) as offsets into the Horadam sequence
 _TYPE_TABLE = {
@@ -186,11 +187,15 @@ def type1_reduce(seed_m, seed_n, k):
 # Invariant-based lemma verification
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Limits:
     crossing_budget: int = DEFAULT_CROSSING_BUDGET
     strand_limit: int = DEFAULT_STRAND_LIMIT
     tl_ops: int = DEFAULT_TL_OPS
+
+    def __post_init__(self):
+        if self.crossing_budget < 1 or self.strand_limit < 1 or self.tl_ops < 1:
+            raise DomainError("budgets and limits must be >= 1")
 
 
 @dataclass
@@ -206,76 +211,67 @@ class VerificationReport:
                 "invariants": self.invariants, "verdict": self.verdict}
 
 
-def _normalized_params(p, q, r, n):
-    """Apply the p/q swap so the braid constructors apply."""
-    if q > p:
-        p, q = q, p
-    return TTKParams(p=p, q=q, r=r, twist_n=n)
+def _once(memo, fn, word, *args):
+    """fn(word, *args), computed at most once per word within ``memo``."""
+    if (fn, word) not in memo:
+        memo[fn, word] = fn(word, *args)
+    return memo[fn, word]
 
 
-def _jones_or_none(word, limits):
-    try:
-        return jones(word, "tl", strand_limit=limits.strand_limit,
-                     tl_ops=limits.tl_ops)
-    except BudgetError:
-        return None
-
-
-def _compare_pair(word_a, word_b, relation, limits):
-    """Compare Alexander (always) and Jones (budget permitting) of two
-    braid closures under the asserted relation "equal" or "mirror"."""
-    alex_a, alex_b = alexander(word_a), alexander(word_b)
-    inv = {"alexander": "equal" if alex_a == alex_b else "unequal"}
+def _compare_pair(word_a, word_b, relation, limits, memo):
+    """Compare Alexander (always) and Jones (only when both words pass the
+    Temperley-Lieb limits up front) of two braid closures under the
+    asserted relation "equal" or "mirror"."""
+    alex_a, alex_b = _once(memo, alexander, word_a), _once(memo, alexander, word_b)
+    inv = {"alexander": "equal" if alex_a == alex_b else "unequal", "jones": "skipped"}
     ok = alex_a == alex_b
-    va, vb = _jones_or_none(word_a, limits), _jones_or_none(word_b, limits)
-    if va is None or vb is None:
-        inv["jones"] = "skipped"
+    try:
+        for w in (word_a, word_b):
+            _check_tl_limits(w, limits.strand_limit, limits.tl_ops)
+    except BudgetError:
+        return inv, ok
+    va, vb = (_once(memo, jones, w, "tl", limits.crossing_budget,
+                    limits.strand_limit, limits.tl_ops) for w in (word_a, word_b))
+    if vb == (va if relation == "equal" else va.mirrored()):
+        inv["jones"] = relation
     else:
-        target = va if relation == "equal" else va.mirrored()
-        if vb == target:
-            inv["jones"] = relation
-        else:
-            inv["jones"] = "mismatch"
-            ok = False
+        inv["jones"], ok = "mismatch", False
     return inv, ok
+
+
+def _verify_pair(claim, params, word_a, word_b, relation, limits):
+    inv, ok = _compare_pair(word_a, word_b, relation, limits or Limits(), {})
+    return VerificationReport(claim, params, inv, "consistent" if ok else "inconsistent")
 
 
 def verify_lemma7(p, q, limits=None):
     """K(p,q,p-q,+1) isotopic to K(p,p-q,q,+1), for coprime p > 2q."""
-    limits = limits or Limits()
     if not (p > 2 * q and q >= 2 and gcd(p, q) == 1):
         raise DomainError("lemma 7 needs coprime p, q >= 2 with p > 2q")
     wa = braid_for(TTKParams(p=p, q=q, r=p - q, twist_n=1))
     wb = braid_for(TTKParams(p=p, q=p - q, r=q, twist_n=1))
-    inv, ok = _compare_pair(wa, wb, "equal", limits)
-    return VerificationReport("lemma7", {"p": p, "q": q}, inv,
-                              "consistent" if ok else "inconsistent")
+    return _verify_pair("lemma7", {"p": p, "q": q}, wa, wb, "equal", limits)
 
 
 def verify_lemma8(p, q, limits=None):
     """K(p,q,p+q,-1) is the mirror image of K(p,p+q,q,+1), p > q."""
-    limits = limits or Limits()
     if not (p > q >= 2 and gcd(p, q) == 1):
         raise DomainError("lemma 8 needs coprime p > q >= 2")
     wa = braid_for(TTKParams(p=p, q=q, r=p + q, twist_n=-1))
-    wb = braid_for(_normalized_params(p, p + q, q, 1))
-    inv, ok = _compare_pair(wa, wb, "mirror", limits)
-    return VerificationReport("lemma8", {"p": p, "q": q}, inv,
-                              "consistent" if ok else "inconsistent")
+    wb = braid_for(TTKParams(p=p + q, q=p, r=q, twist_n=1))
+    return _verify_pair("lemma8", {"p": p, "q": q}, wa, wb, "mirror", limits)
 
 
 def verify_lemma9(seed_m, seed_n, k, limits=None):
     """K(H_{k+3}, H_{k+2}, H_{k+1}, -1) isotopic to
     K(H_{k+1}, H_k, H_{k+2}, +1)."""
-    limits = limits or Limits()
     if seed_m < 1 or seed_n < 1 or gcd(seed_m, seed_n) != 1 or k < 0:
         raise DomainError("lemma 9 needs positive coprime seeds and k >= 0")
     H = HoradamSpec(seed_m, seed_n).terms(k + 4)
     wa = braid_for(TTKParams(p=H[k + 3], q=H[k + 2], r=H[k + 1], twist_n=-1))
     wb = braid_for(TTKParams(p=H[k + 1], q=H[k], r=H[k + 2], twist_n=1))
-    inv, ok = _compare_pair(wa, wb, "equal", limits)
-    return VerificationReport("lemma9", {"m": seed_m, "n": seed_n, "k": k},
-                              inv, "consistent" if ok else "inconsistent")
+    return _verify_pair("lemma9", {"m": seed_m, "n": seed_n, "k": k},
+                        wa, wb, "equal", limits)
 
 
 def verify_prop12_1(seed_m, seed_n, k_max, limits=None):
@@ -288,11 +284,12 @@ def verify_prop12_1(seed_m, seed_n, k_max, limits=None):
     H = HoradamSpec(seed_m, seed_n).terms(k_max + 3)
     words = [braid_for(TTKParams(p=H[k + 2], q=H[k], r=H[k + 1], twist_n=-1))
              for k in range(k_max + 1)]
+    memo = {}
     details = []
     ok = True
     jones_overall = "skipped"
     for k in range(k_max, 0, -1):
-        inv, step_ok = _compare_pair(words[k], words[k - 1], "mirror", limits)
+        inv, step_ok = _compare_pair(words[k], words[k - 1], "mirror", limits, memo)
         details.append({"k": k, **inv})
         ok = ok and step_ok
         if inv["jones"] in ("mirror", "mismatch") and jones_overall == "skipped":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,3 +178,65 @@ def test_env_budget_override(capsys, monkeypatch):
                        "invariant", "--word", "B2: 1 1 1", "--jones")
     assert code == 0
     assert out.splitlines()[0] == "jones: t + t^3 - t^4"
+
+
+def test_env_budget_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("TTK_BUDGET", "abc")
+    code, out, err = run(capsys, "horadam", "term", "-m", "2", "-n", "7", "-k", "4")
+    assert code == 2 and out == ""
+    assert err == "error: TTK_BUDGET must be an integer, got 'abc'\n"
+    # an explicit flag means the environment is never read
+    code, out, _ = run(capsys, "--budget", "5", "horadam", "term",
+                       "-m", "2", "-n", "7", "-k", "4")
+    assert code == 0 and out == "25\n"
+
+
+# Byte-exact outputs: the census files and summaries at bound 60 (pp and
+# ps write the same rows), and sample horadam, invariant and verify output.
+_CENSUS_60_SHA256 = {
+    "json": "2802d630a4de95314c59343b5f15e73dab6d96b23075c7e47620550068b0cfe7",
+    "csv": "bb6301291528ca87e1ba4d70365fc922f9e2946a05f462b1440f9177d9af1778",
+}
+_CENSUS_60_SUMMARY = {
+    "pp": "pp: 0 missing, 0 extra",
+    "ps": "ps: 0 uncovered, 40 flagged (family2-p<7: 2, family3-i=1: 38)",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_golden_census_60(capsys, tmp_path, fmt):
+    digests = {}
+    for kind in ("pp", "ps"):
+        path = tmp_path / f"{kind}.{fmt}"
+        code, out, err = run(capsys, "census", kind, "--bound", "60",
+                             "--format", fmt, "--out", str(path))
+        assert code == 0 and err == ""
+        assert out == _CENSUS_60_SUMMARY[kind] + "\n"
+        digests[kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+    # the rows do not depend on the census kind
+    assert digests == {"pp": _CENSUS_60_SHA256[fmt], "ps": _CENSUS_60_SHA256[fmt]}
+
+
+def test_golden_horadam(capsys):
+    assert run(capsys, "horadam", "maximal", "-m", "4", "-n", "7") == (
+        0, "true (q0=1)\n", "")
+    assert run(capsys, "horadam", "maximal", "-m", "3", "-n", "10") == (
+        0, "false (q0=3)\n", "")
+    assert run(capsys, "horadam", "embed", "-m", "4", "-n", "7") == (
+        0, "sign=+1 a=3 start=2\n", "")
+
+
+def test_golden_invariant_and_verify_json(capsys):
+    code, out, _ = run(capsys, "invariant", "-p", "5", "-q", "2", "-r", "3",
+                       "-n", "-1", "--jones", "--format", "json")
+    assert code == 0
+    assert out == ('{"alexander": {"terms": [[0, 1]], "var": "t"}, '
+                   '"crossing_count": 14, "determinant": 1, '
+                   '"jones": {"terms": [[0, 1]], "var": "t"}, '
+                   '"jones_status": "ok", "strand_count": 5}\n')
+    code, out, _ = run(capsys, "verify", "prop12-1", "-m", "2", "-n", "7",
+                       "--kmax", "2", "--format", "json")
+    assert code == 0
+    assert out == ('{"claim": "prop12-1", "invariants": {"alexander": "equal", '
+                   '"jones": "skipped"}, "params": {"k_max": 2, "m": 2, "n": 7}, '
+                   '"verdict": "consistent"}\n')
