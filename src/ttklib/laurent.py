@@ -17,6 +17,43 @@ _TERM_RE = re.compile(
 )
 
 
+def mul_terms(a, b):
+    """Product of two exponent->coefficient dicts, without zero terms."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def divide_terms(num, den):
+    """Exact quotient num / den of two exponent->coefficient dicts in
+    Z[x, 1/x], cancelling from the lowest term up (units divide freely);
+    raises ValueError on a remainder or a non-integer coefficient."""
+    dlo = min(den)
+    top = max(num, default=0) - max(den)
+    rem, quot = dict(num), {}
+    while rem:
+        e = min(rem) - dlo
+        if e > top:
+            raise ValueError("inexact polynomial division (remainder)")
+        c, r = divmod(rem[e + dlo], den[dlo])
+        if r:
+            raise ValueError("inexact polynomial division (coefficient)")
+        quot[e] = c
+        for de, dc in den.items():
+            k = e + de
+            v = rem.get(k, 0) - c * dc
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return quot
+
+
 class Laurent:
     __slots__ = ("var", "terms")
 
@@ -132,16 +169,7 @@ class Laurent:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        d = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = e1 + e2
-                d[e] = d.get(e, 0) + c1 * c2
-        return Laurent(d, self._result_var(other))
+        return Laurent(mul_terms(self.terms, other.terms), self._result_var(other))
 
     __rmul__ = __mul__
 
@@ -171,32 +199,7 @@ class Laurent:
         divisor = self._coerce(divisor)
         if divisor is NotImplemented or divisor.is_zero:
             raise ValueError("division by zero or bad divisor")
-        if self.is_zero:
-            return Laurent.zero(self.var)
-        # Shift both operands to honest polynomials; units divide freely.
-        rem = dict(self.shifted(-self.min_exp).terms)
-        div = divisor.shifted(-divisor.min_exp).terms
-        dlead = max(div)
-        dcoef = div[dlead]
-        quot = {}
-        while rem:
-            lead = max(rem)
-            if lead < dlead:
-                raise ValueError("inexact polynomial division (remainder)")
-            c, r = divmod(rem[lead], dcoef)
-            if r:
-                raise ValueError("inexact polynomial division (coefficient)")
-            e = lead - dlead
-            quot[e] = c
-            for de, dc in div.items():
-                k = e + de
-                v = rem.get(k, 0) - c * dc
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        shift = self.min_exp - divisor.min_exp
-        return Laurent({e + shift: c for e, c in quot.items()}, self.var)
+        return Laurent(divide_terms(self.terms, divisor.terms), self.var)
 
     # -- evaluation ---------------------------------------------------
 

@@ -1,15 +1,19 @@
+import itertools
 import random
 from math import gcd
 
 import pytest
 
+from ttklib import invariants
 from ttklib.braids import BraidWord, TTKParams, braid_for, torus_braid
-from ttklib.errors import BudgetError, NotAKnotError
+from ttklib.errors import BudgetError, DomainError, NotAKnotError
+from ttklib.horadam import HoradamSpec, fibonacci
 from ttklib.invariants import (alexander, burau_matrix, det_laurent,
                                equal_up_to_mirror, invariant_report, jones,
                                kauffman_bracket, knot_determinant, tl_bracket,
                                torus_alexander, torus_jones, tl_predicted_ops,
                                _det_bareiss, _det_modular)
+from ttklib.knots import lee_torus_qsmall
 from ttklib.laurent import Laurent
 
 TREFOIL = BraidWord(2, (1, 1, 1))
@@ -216,19 +220,158 @@ def test_free_reduction_invariance():
     assert alexander(padded) == alexander(w)
 
 
+# -- reduced Burau matrix --------------------------------------------------
+
+T = Laurent.gen("t")
+T_INV = Laurent.term(1, -1, "t")
+
+
+def _identity(d):
+    return [[Laurent.one() if r == k else Laurent.zero() for k in range(d)] for r in range(d)]
+
+
+def _generator_matrix(d, letter):
+    """Kassel-Turaev reduced Burau matrix of one generator, written out
+    densely: the identity except column i-1, which holds (t, -t, 1) on
+    rows i-2, i-1, i for sigma_i and (1, -1/t, 1/t) for its inverse."""
+    c = abs(letter) - 1
+    column = (T, -T, Laurent.one()) if letter > 0 else (Laurent.one(), -T_INV, T_INV)
+    m = _identity(d)
+    for r, entry in zip((c - 1, c, c + 1), column):
+        if 0 <= r < d:
+            m[r][c] = entry
+    return m
+
+
+def _matmul(a, b):
+    n = len(b)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), Laurent.zero())
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_burau_matrix_equals_product_of_generator_matrices():
+    for n in range(2, 9):
+        for i in range(1, n):
+            product = _matmul(_generator_matrix(n - 1, i), _generator_matrix(n - 1, -i))
+            assert product == _identity(n - 1)
+    rng = random.Random(8)
+    for _ in range(40):
+        w = random_word(rng, max_strands=8, max_len=16)
+        product = _identity(w.strands - 1)
+        for letter in w.letters:
+            product = _matmul(product, _generator_matrix(w.strands - 1, letter))
+        assert burau_matrix(w) == product, w
+
+
 # -- determinant paths ---------------------------------------------------
+
+def burau_minus_identity(word):
+    rows = burau_matrix(word)
+    for i in range(len(rows)):
+        rows[i][i] = rows[i][i] - 1
+    return rows
+
+
+def leibniz_det(rows):
+    total = Laurent.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = Laurent.const(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def _oracle_words():
+    """Burau inputs of the paper's families: the Fibonacci unknots, the
+    Lemma 9 pairs and Lee's q-small torus matches."""
+    for n in range(1, 8):
+        yield TTKParams(p=fibonacci(n + 2), q=fibonacci(n), r=fibonacci(n + 1), twist_n=-1)
+    for m, n in ((1, 2), (2, 3), (2, 7)):
+        H = HoradamSpec(m, n).terms(5)
+        for k in range(2):
+            yield TTKParams(p=H[k + 3], q=H[k + 2], r=H[k + 1], twist_n=-1)
+            yield TTKParams(p=H[k + 1], q=H[k], r=H[k + 2], twist_n=1)
+    for p in range(5, 21):
+        for q in range(2, p):
+            if gcd(p, q) == 1 and q < p - q and lee_torus_qsmall(p, q).matched:
+                yield TTKParams(p=p, q=q, r=p - q, twist_n=-1)
+
 
 def test_bareiss_equals_modular_on_burau_matrices():
     rng = random.Random(31337)
     for _ in range(25):
         w = random_word(rng, max_strands=6, max_len=14)
-        rows = burau_matrix(w)
-        d = w.strands - 1
-        for i in range(d):
-            rows[i][i] = rows[i][i] - 1
+        rows = burau_minus_identity(w)
         a = _det_bareiss([row[:] for row in rows])
         b = _det_modular([row[:] for row in rows])
         assert a == b, w
+
+
+def test_bareiss_equals_modular_on_paper_families():
+    for params in _oracle_words():
+        rows = burau_minus_identity(braid_for(params))
+        assert _det_bareiss(rows) == _det_modular(rows), params
+
+
+def test_bareiss_equals_modular_on_dense_random_words():
+    rng = random.Random(1968)
+    for n in (8, 10, 12):
+        alphabet = [i for i in range(1 - n, n) if i]
+        w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(6 * n)))
+        rows = burau_minus_identity(w)
+        assert sum(len(e.terms) for row in rows for e in row) > 8 * (n - 1)
+        assert _det_bareiss(rows) == _det_modular(rows), w
+
+
+def test_det_small_and_degenerate_matrices():
+    L = Laurent.parse
+    cases = [
+        [],
+        [[L("3t^-2 - t")]],
+        # zero pivot in the corner: needs a row swap
+        [[L("0"), L("t"), L("1")], [L("t^-1"), L("2"), L("0")],
+         [L("1 - t"), L("0"), L("t^2")]],
+        [[L("0"), L("1")], [L("1"), L("0")]],
+        # negative exponents throughout
+        [[L("t^-3 + 2"), L("-t^-1"), L("t^-2 - t")], [L("t^-1"), L("t^-4"), L("5")],
+         [L("2t^-2 + t^3"), L("1 - t^-5"), L("-t^-1")]],
+        # third row is t^-1 * first + second: singular
+        [[L("1 + t"), L("t^-1"), L("2")], [L("t^2"), L("-3"), L("t^-1 - 1")],
+         [L("t^-1 + 1 + t^2"), L("t^-2 - 3"), L("3t^-1 - 1")]],
+    ]
+    for rows in cases:
+        want = leibniz_det(rows) if rows else Laurent.one()
+        assert _det_bareiss(rows) == want, rows
+        assert _det_modular(rows) == want, rows
+    assert leibniz_det(cases[-1]) == 0
+    assert leibniz_det(cases[3]) == -1
+
+
+def test_det_laurent_dispatch_by_density(monkeypatch):
+    sparse = burau_minus_identity(braid_for(TTKParams(p=34, q=13, r=21, twist_n=-1)))
+    rng = random.Random(10)
+    alphabet = [i for i in range(-9, 10) if i]
+    dense = burau_minus_identity(BraidWord(10, tuple(rng.choice(alphabet) for _ in range(80))))
+    want_sparse, want_dense = _det_bareiss(sparse), _det_modular(dense)
+
+    def refuse(rows):
+        raise AssertionError("wrong determinant route")
+
+    monkeypatch.setattr(invariants, "_det_modular", refuse)
+    assert det_laurent(sparse) == want_sparse
+    monkeypatch.undo()
+    monkeypatch.setattr(invariants, "_det_bareiss", refuse)
+    assert det_laurent(dense) == want_dense
+
+
+def test_det_unknown_method_raises():
+    with pytest.raises(DomainError):
+        det_laurent([[Laurent.one()]], "Bareiss")
+    with pytest.raises(DomainError):
+        alexander(TREFOIL, det_method="crt")
 
 
 def test_det_singular_matrix():

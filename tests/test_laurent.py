@@ -46,6 +46,10 @@ def test_divide_exact():
     assert shifted.divide_exact(1 - t ** 2) == (1 + t ** 2 - t ** 3).shifted(-7)
     with pytest.raises(ValueError):
         (t + 1).divide_exact(t - 1)
+    with pytest.raises(ValueError):
+        (t + 1).divide_exact(2)
+    with pytest.raises(ValueError):
+        (1 + t ** 2).shifted(-3).divide_exact(1 + t)
 
 
 def test_evaluate():
