@@ -3,10 +3,10 @@
 Jones comes in two independent routes: a Temperley-Lieb transfer (the
 main path, polynomial in crossings for bounded strand count) and the
 raw 2^c Kauffman state sum (small-scale oracle).  Alexander comes from
-the reduced Burau representation; its determinant is computed exactly,
-either by sparse fraction-free Bareiss elimination (small or sparse
-matrices) or by modular evaluation/interpolation with a rigorous
-coefficient bound and CRT reconstruction (dense ones).  Closed forms
+the reduced Burau representation; its determinant is computed exactly
+by sparse fraction-free Bareiss elimination, with modular
+evaluation/interpolation under a rigorous coefficient bound and CRT
+reconstruction as the independent route.  Closed forms
 for torus knots provide the reference values for torus-detection
 cross-checks.
 """
@@ -556,28 +556,19 @@ def _det_modular(rows):
     return Laurent(terms, var="t")
 
 
-# "auto" takes Bareiss on a small or sparse matrix.  Measured crossover
-# on Burau(w) - I: at d <= 6 Bareiss won at every density tried (up to
-# 168 terms per row); above that, on random knot words, modular drew
-# level near 6 to 8 terms per row at d = 23 to 63 and won beyond, while
-# the twisted-torus-knot families of the paper hold about 4.
-_BAREISS_SMALL_DIM = 6
-_BAREISS_TERMS_PER_ROW = 8
+def _det_route(method):
+    """The determinant routine a method names; "auto" is Bareiss."""
+    if method in ("auto", "bareiss"):
+        return _det_bareiss
+    if method == "modular":
+        return _det_modular
+    raise DomainError(f"unknown determinant method {method!r}")
 
 
 def det_laurent(rows, method="auto"):
     """Determinant of a square matrix of Laurent polynomials, by the
-    "bareiss" or the "modular" route; "auto" picks by density."""
-    if method == "auto":
-        d = len(rows)
-        terms = sum(len(e.terms) for row in rows for e in row)
-        sparse = d <= _BAREISS_SMALL_DIM or terms <= _BAREISS_TERMS_PER_ROW * d
-        method = "bareiss" if sparse else "modular"
-    if method == "bareiss":
-        return _det_bareiss(rows)
-    if method == "modular":
-        return _det_modular(rows)
-    raise DomainError(f"unknown determinant method {method!r}")
+    "bareiss" (also "auto") or the "modular" route."""
+    return _det_route(method)(rows)
 
 
 def _normalize_alexander(poly, strands):
@@ -604,6 +595,7 @@ def alexander(word, det_method="auto"):
     """Alexander polynomial of the knot closure, from the reduced Burau
     matrix: Delta = det(B(w) - I) * (t-1)/(t^n - 1), symmetrized with
     Delta(1) = 1."""
+    _det_route(det_method)
     if not word.is_knot():
         raise NotAKnotError(
             f"closure has {word.component_count()} components; "

@@ -322,6 +322,7 @@ def test_bareiss_equals_modular_on_dense_random_words():
         alphabet = [i for i in range(1 - n, n) if i]
         w = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(6 * n)))
         rows = burau_minus_identity(w)
+        # well above the 2.5 to 4.2 terms per row of the paper's families
         assert sum(len(e.terms) for row in rows for e in row) > 8 * (n - 1)
         assert _det_bareiss(rows) == _det_modular(rows), w
 
@@ -350,28 +351,38 @@ def test_det_small_and_degenerate_matrices():
     assert leibniz_det(cases[3]) == -1
 
 
-def test_det_laurent_dispatch_by_density(monkeypatch):
+def test_det_laurent_routes(monkeypatch):
     sparse = burau_minus_identity(braid_for(TTKParams(p=34, q=13, r=21, twist_n=-1)))
+    twisted = burau_minus_identity(braid_for(TTKParams(p=13, q=5, r=8, twist_n=4)))
     rng = random.Random(10)
     alphabet = [i for i in range(-9, 10) if i]
     dense = burau_minus_identity(BraidWord(10, tuple(rng.choice(alphabet) for _ in range(80))))
-    want_sparse, want_dense = _det_bareiss(sparse), _det_modular(dense)
+    want = [_det_modular(rows) for rows in (sparse, twisted, dense)]
 
     def refuse(rows):
         raise AssertionError("wrong determinant route")
 
     monkeypatch.setattr(invariants, "_det_modular", refuse)
-    assert det_laurent(sparse) == want_sparse
+    for rows, det in zip((sparse, twisted, dense), want):
+        assert det_laurent(rows) == det
+        assert det_laurent(rows, "bareiss") == det
     monkeypatch.undo()
     monkeypatch.setattr(invariants, "_det_bareiss", refuse)
-    assert det_laurent(dense) == want_dense
+    assert det_laurent(dense, "modular") == want[2]
 
 
 def test_det_unknown_method_raises():
     with pytest.raises(DomainError):
         det_laurent([[Laurent.one()]], "Bareiss")
     with pytest.raises(DomainError):
+        det_laurent([], "Bareiss")
+    with pytest.raises(DomainError):
         alexander(TREFOIL, det_method="crt")
+    with pytest.raises(DomainError):
+        alexander(BraidWord(1, ()), det_method="Bareiss")
+    # the method is checked before the knot check
+    with pytest.raises(DomainError):
+        alexander(BraidWord(2, (1, 1)), det_method="Bareiss")
 
 
 def test_det_singular_matrix():
