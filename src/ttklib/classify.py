@@ -4,10 +4,16 @@ The primitive/primitive predicate on a triple (p,q,r) is
     r = +-1 or +-q (mod p)  and  r = +-1 or +-p (mod q),
 middle-Seifert (with respect to the first handlebody) needs a witness
 beta with 2 <= beta < p/q and r = +-beta*q (mod p), and primitivity
-with respect to the second handlebody is r = +-1 or +-p (mod q).  The
-closed-form families are enumerated exactly as parameterized, and the
-censuses compare them against the predicates, which are always the
-ground truth.
+with respect to the second handlebody is r = +-1 or +-p (mod q).  Each
+predicate depends on r only through r mod p and r mod q, so it is one
+lookup into per-pair tables: the allowed residues mod p and mod q, and
+the least beta for each residue mod p.  The census walks the coprime
+pairs (p, q), builds those tables once per pair, and classifies every r
+with two modulo operations; it steps through the sorted family tables
+in the same (p, q, r) order, so it builds a Triple only for a triple it
+reports.  The closed-form families are enumerated exactly as
+parameterized, and the censuses compare them against the predicates,
+which are always the ground truth.
 """
 
 from __future__ import annotations
@@ -63,33 +69,40 @@ class FamilyMatch:
 # Predicates
 # ----------------------------------------------------------------------
 
+def _primitive_residues(a, b):
+    """The residues of r mod a with r = +-1 or +-b (mod a)."""
+    return {1 % a, -1 % a, b % a, -b % a}
+
+
+def _least_betas(p, q):
+    """Each residue of r mod p that has a middle-Seifert witness, mapped
+    to its least beta: 2 <= beta < p/q and r = +-beta*q (mod p).  Empty
+    whenever p < 2q."""
+    betas = {}
+    beta = 2
+    while beta * q < p:
+        bq = beta * q % p
+        betas.setdefault(bq, beta)
+        betas.setdefault(-bq % p, beta)
+        beta += 1
+    return betas
+
+
 def is_pp(t):
     """Primitive/primitive congruence test."""
-    rp = t.r % t.p
-    rq = t.r % t.q
-    ok_p = rp in {1 % t.p, (-1) % t.p, t.q % t.p, (-t.q) % t.p}
-    ok_q = rq in {1 % t.q, (-1) % t.q, t.p % t.q, (-t.p) % t.q}
-    return ok_p and ok_q
+    return t.r % t.p in _primitive_residues(t.p, t.q) and is_primitive_Hprime(t)
 
 
 def is_primitive_Hprime(t):
     """Primitive with respect to the second handlebody:
     r = +-1 or +-p (mod q)."""
-    rq = t.r % t.q
-    return rq in {1 % t.q, (-1) % t.q, t.p % t.q, (-t.p) % t.q}
+    return t.r % t.q in _primitive_residues(t.q, t.p)
 
 
 def middle_seifert_beta(t):
     """Least beta with 2 <= beta < p/q and r = +-beta*q (mod p), or
     None when no witness exists (the range is empty whenever p < 2q)."""
-    rp = t.r % t.p
-    beta = 2
-    while beta * t.q < t.p:
-        bq = beta * t.q % t.p
-        if rp == bq or rp == (-bq) % t.p:
-            return beta
-        beta += 1
-    return None
+    return _least_betas(t.p, t.q).get(t.r % t.p)
 
 
 def is_p_hyperseifert(params):
@@ -227,19 +240,17 @@ def ps_flag_shape(triple, match):
 # Censuses
 # ----------------------------------------------------------------------
 
-def _triples(bound):
-    """Every valid normalized triple with p <= bound, in sorted order."""
+def _pairs(bound):
+    """Every coprime pair 2 <= q < p <= bound, in sorted order."""
     for p in range(3, bound + 1):
         for q in range(2, p):
-            if gcd(p, q) != 1:
-                continue
-            for r in range(2, p + q + 1):
-                yield Triple(p, q, r)
+            if gcd(p, q) == 1:
+                yield p, q
 
 
 def all_triples(bound):
     """Every valid normalized triple with p <= bound, sorted."""
-    return list(_triples(bound))
+    return [Triple(p, q, r) for p, q in _pairs(bound) for r in range(2, p + q + 1)]
 
 
 @dataclass
@@ -276,32 +287,62 @@ def _census(bound, report=None):
     return _walk(bound, fam["pp"], fam["ps"], report)
 
 
+class _InOrder:
+    """Steps through a family table's triples in the walk's order."""
+
+    def __init__(self, fam):
+        self.fam = fam
+        self.keys = iter(sorted(fam))
+        self.head = next(self.keys, None)
+
+    def r_on(self, p, q):
+        """r of the next family triple if it lies on the pair (p, q), else 0."""
+        t = self.head
+        return t.r if t is not None and t.p == p and t.q == q else 0
+
+    def take(self):
+        """The next family triple and its matches; moves past it."""
+        t = self.head
+        self.head = next(self.keys, None)
+        return t, self.fam[t]
+
+
 def _walk(bound, pp_fam, ps_fam, report):
-    for t in _triples(bound):
-        pp = is_pp(t)
-        pp_matches = pp_fam.get(t, [])
-        beta = middle_seifert_beta(t)
-        ps = beta is not None and is_primitive_Hprime(t)
-        ps_matches = ps_fam.get(t, [])
-        shapes = [] if ps else [ps_flag_shape(t, m) for m in ps_matches]
-        if report is not None and report.kind == "pp":
-            if pp != bool(pp_matches):
-                (report.missing if pp else report.extra).append(t)
-        elif report is not None:
-            if ps and not ps_matches:
-                report.missing.append(t)
-            report.flagged += [(t, m, s) for m, s in zip(ps_matches, shapes)]
-        yield {
-            "p": t.p,
-            "q": t.q,
-            "r": t.r,
-            "pp": pp,
-            "pp_families": [m.to_json_dict() for m in pp_matches],
-            "ps": ps,
-            "ps_beta": beta,
-            "ps_families": [m.to_json_dict() for m in ps_matches],
-            "flags": [f"predicate-invalid:{s or 'unexpected'}" for s in shapes],
-        }
+    kind = report.kind if report is not None else None
+    pp_next, ps_next = _InOrder(pp_fam), _InOrder(ps_fam)
+    for p, q in _pairs(bound):
+        res_p, res_q = _primitive_residues(p, q), _primitive_residues(q, p)
+        betas = _least_betas(p, q)
+        pp_r, ps_r = pp_next.r_on(p, q), ps_next.r_on(p, q)
+        for r in range(2, p + q + 1):
+            rp = r % p
+            prim_q = r % q in res_q
+            pp = prim_q and rp in res_p
+            beta = betas.get(rp)
+            ps = prim_q and beta is not None
+            row = {"p": p, "q": q, "r": r, "pp": pp, "pp_families": [],
+                   "ps": ps, "ps_beta": beta, "ps_families": [], "flags": []}
+            if r == pp_r:
+                t, matches = pp_next.take()
+                pp_r = pp_next.r_on(p, q)
+                row["pp_families"] = [m.to_json_dict() for m in matches]
+                if kind == "pp" and not pp:
+                    report.extra.append(t)
+            elif pp and kind == "pp":
+                report.missing.append(Triple(p, q, r))
+            if r == ps_r:
+                t, matches = ps_next.take()
+                ps_r = ps_next.r_on(p, q)
+                row["ps_families"] = [m.to_json_dict() for m in matches]
+                if not ps:
+                    shapes = [ps_flag_shape(t, m) for m in matches]
+                    row["flags"] = [f"predicate-invalid:{s or 'unexpected'}"
+                                    for s in shapes]
+                    if kind == "ps":
+                        report.flagged += [(t, m, s) for m, s in zip(matches, shapes)]
+            elif ps and kind == "ps":
+                report.missing.append(Triple(p, q, r))
+            yield row
 
 
 def _report(kind, bound, pp_fam, ps_fam):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import sys
@@ -166,25 +165,42 @@ def _cmd_invariant(args, limits):
     return 0
 
 
-def _census_row_text(row, fmt):
-    if fmt == "json":
-        return json.dumps(row, sort_keys=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="")
-    writer.writerow([json.dumps(row[c], sort_keys=True)
-                     if isinstance(row[c], (list, dict)) else row[c]
-                     for c in _CSV_COLUMNS])
-    return buf.getvalue()
+def _json_list(value):
+    """json.dumps(value, sort_keys=True) for a census row's list."""
+    return json.dumps(value, sort_keys=True) if value else "[]"
+
+
+def _census_json(row):
+    """json.dumps(row, sort_keys=True) for a census row, written with its
+    nine keys in sorted order; only a non-empty list goes to json.dumps."""
+    beta = row["ps_beta"]
+    return (f'{{"flags": {_json_list(row["flags"])}, "p": {row["p"]}, '
+            f'"pp": {"true" if row["pp"] else "false"}, '
+            f'"pp_families": {_json_list(row["pp_families"])}, '
+            f'"ps": {"true" if row["ps"] else "false"}, '
+            f'"ps_beta": {"null" if beta is None else beta}, '
+            f'"ps_families": {_json_list(row["ps_families"])}, '
+            f'"q": {row["q"]}, "r": {row["r"]}}}')
 
 
 def _cmd_census(args):
     report = CensusReport(args.kind, args.bound, [], [], [])
     rows = _census(args.bound, report)
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        if args.format == "csv":
-            fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(_census_row_text(row, args.format) + "\n")
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out as fh:
+        if args.format == "json":
+            for row in rows:
+                fh.write(_census_json(row) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_CSV_COLUMNS)
+            for row in rows:
+                writer.writerow([_json_list(row[c]) if isinstance(row[c], list)
+                                 else row[c] for c in _CSV_COLUMNS])
     print(report.summary(), file=sys.stdout if args.out else sys.stderr)
     return 0 if report.ok else 1
 
@@ -255,7 +271,16 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (say `ttk census pp | head`): stop
+        # quietly, and point stdout at devnull so that the flush at exit
+        # does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

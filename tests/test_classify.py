@@ -128,3 +128,79 @@ def test_census_rows_schema_and_order():
     assert any(f.startswith("predicate-invalid") for f in row["flags"])
     assert {"p", "q", "r", "pp", "pp_families", "ps", "ps_beta",
             "ps_families", "flags"} == set(row)
+
+
+# ----------------------------------------------------------------------
+# Oracles: the predicates and the census walk as they were written
+# before the per-pair tables, one triple at a time.
+# ----------------------------------------------------------------------
+
+def _oracle_is_pp(t):
+    rp = t.r % t.p
+    rq = t.r % t.q
+    ok_p = rp in {1 % t.p, (-1) % t.p, t.q % t.p, (-t.q) % t.p}
+    ok_q = rq in {1 % t.q, (-1) % t.q, t.p % t.q, (-t.p) % t.q}
+    return ok_p and ok_q
+
+
+def _oracle_is_primitive_Hprime(t):
+    rq = t.r % t.q
+    return rq in {1 % t.q, (-1) % t.q, t.p % t.q, (-t.p) % t.q}
+
+
+def _oracle_middle_seifert_beta(t):
+    rp = t.r % t.p
+    beta = 2
+    while beta * t.q < t.p:
+        bq = beta * t.q % t.p
+        if rp == bq or rp == (-bq) % t.p:
+            return beta
+        beta += 1
+    return None
+
+
+def _oracle_census(kind, bound):
+    fam = pp_families(bound) if kind == "pp" else ps_families(bound)
+    missing, extra, flagged = [], [], []
+    for t in all_triples(bound):
+        matches = fam.get(t, [])
+        if kind == "pp":
+            pp = _oracle_is_pp(t)
+            if pp != bool(matches):
+                (missing if pp else extra).append(t)
+            continue
+        ps = (_oracle_middle_seifert_beta(t) is not None
+              and _oracle_is_primitive_Hprime(t))
+        if ps and not matches:
+            missing.append(t)
+        if not ps:
+            flagged += [(t, m, ps_flag_shape(t, m)) for m in matches]
+    return missing, extra, flagged
+
+
+def test_predicates_equal_oracle_up_to_40():
+    triples = all_triples(40)
+    assert len(triples) == 18357
+    for t in triples:
+        assert is_pp(t) == _oracle_is_pp(t), t
+        assert is_primitive_Hprime(t) == _oracle_is_primitive_Hprime(t), t
+        assert middle_seifert_beta(t) == _oracle_middle_seifert_beta(t), t
+
+
+def test_census_rows_equal_oracle_predicates_up_to_40():
+    for row, t in zip(census_rows(40), all_triples(40), strict=True):
+        assert (row["p"], row["q"], row["r"]) == (t.p, t.q, t.r)
+        beta = _oracle_middle_seifert_beta(t)
+        assert row["pp"] is _oracle_is_pp(t), t
+        assert row["ps_beta"] == beta, t
+        assert row["ps"] is (beta is not None and _oracle_is_primitive_Hprime(t)), t
+
+
+@pytest.mark.parametrize("kind", ["pp", "ps"])
+def test_census_reports_equal_oracle_at_60(kind):
+    rep = pp_census(60) if kind == "pp" else ps_census(60)
+    missing, extra, flagged = _oracle_census(kind, 60)
+    assert rep.missing == missing
+    assert rep.extra == extra
+    assert rep.flagged == flagged
+    assert len(rep.flagged) == (40 if kind == "ps" else 0)

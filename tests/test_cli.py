@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from ttklib.cli import main
+import ttklib
+from ttklib.classify import census_rows
+from ttklib.cli import _census_json, main
 
 
 def run(capsys, *argv):
@@ -113,6 +118,37 @@ def test_census_ps_csv_out(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "p,q,r,pp,pp_families,ps,ps_beta,ps_families,flags"
     assert len(lines) > 100
+
+
+def test_census_json_row_equals_json_dumps():
+    count = 0
+    for row in census_rows(40):
+        assert _census_json(row) == json.dumps(row, sort_keys=True), row
+        count += 1
+    assert count == 18357
+
+
+def test_census_out_unwritable_exit_2(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run(capsys, "census", "pp", "--bound", "10",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert not path.parent.exists()
+
+
+def test_census_closed_pipe_exits_quietly():
+    src = os.path.dirname(os.path.dirname(ttklib.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ttklib.cli", "census", "pp", "--bound", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
+    assert [json.loads(line)["r"] for line in head] == [2, 3, 4]
 
 
 def test_census_rows_deterministic(capsys):
