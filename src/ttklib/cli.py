@@ -20,7 +20,7 @@ from .classify import CensusReport, _census
 from .errors import DomainError, TTKError
 from .horadam import (HoradamSpec, check_slope_relations,
                       embed_in_unit_sequence, euclid_trace, horadam_term,
-                      is_maximal_pair, slope_s, slope_t)
+                      is_maximal_pair, slope_values)
 from .invariants import (DEFAULT_CROSSING_BUDGET, DEFAULT_STRAND_LIMIT,
                          DEFAULT_TL_OPS, invariant_report, torus_alexander,
                          torus_jones)
@@ -102,9 +102,9 @@ def _cmd_horadam(args):
         spec = HoradamSpec(m, n, args.coef_a, args.coef_b)
         print(horadam_term(spec, args.k))
     elif args.subcommand == "slopes":
-        spec = HoradamSpec(m, n)
-        for k in range(1, args.kmax + 1):
-            print(f"k={k} s={slope_s(spec, k)} t={slope_t(spec, k)}")
+        vals = slope_values(HoradamSpec(m, n), args.kmax)
+        for s, t in zip(vals[:args.kmax], vals[args.kmax:]):
+            print(f"k={s.index} s={s.value} t={t.value}")
     elif args.subcommand == "euclid":
         tr = euclid_trace(m, n)
         print("quotients: " + " ".join(str(q) for q in tr.quotients))

@@ -105,8 +105,14 @@ class SlopeValue:
     value: int
 
 
+def _require_k_max(k_max):
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1")
+
+
 def slope_values(spec, k_max):
-    """All s_k and t_k for 1 <= k <= k_max."""
+    """All s_k, then all t_k, for 1 <= k <= k_max."""
+    _require_k_max(k_max)
     out = [SlopeValue("S", k, slope_s(spec, k)) for k in range(1, k_max + 1)]
     out += [SlopeValue("T", k, slope_t(spec, k)) for k in range(1, k_max + 1)]
     return out
@@ -130,8 +136,7 @@ def check_slope_relations(spec, k_max):
     violation (never silently passes).
     """
     _require_unit(spec)
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
+    _require_k_max(k_max)
     m, n = spec.h0, spec.h1
     s = invariant_s(m, n)
     base = n * n + m * n - m * m

@@ -56,6 +56,14 @@ def test_horadam_slopes(capsys):
     assert out.splitlines() == ["k=1 s=59 t=193", "k=2 s=95 t=481"]
 
 
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_slopes_kmax_below_one_exit_1(capsys, kmax):
+    # both slope commands refuse an empty range alike, before any work
+    for command in (("horadam", "slopes"), ("verify", "slopes")):
+        result = run(capsys, *command, "-m", "2", "-n", "7", "--kmax", kmax)
+        assert result == (1, "", "error: k_max must be >= 1\n"), command
+
+
 def test_horadam_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "horadam", "euclid", "-m", "4", "-n", "10")
     assert code == 1 and "error:" in err

@@ -3,6 +3,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttklib import invariants
 from ttklib.braids import BraidWord, TTKParams, braid_for, torus_braid
@@ -121,6 +122,92 @@ def test_jones_auto_falls_back_to_state_sum():
     # strand limit 2 forces the fallback for a 3-strand word
     v = jones(FIGURE8, "auto", strand_limit=2)
     assert v == jones(FIGURE8, "kauffman")
+
+
+# -- Temperley-Lieb transfer against the dict transfer ---------------------
+
+def dict_tl_bracket(word):
+    """Oracle: the transfer that keeps each diagram's coefficient as an
+    {A-exponent: coefficient} dict and, per crossing, adds A^s times it
+    to the diagram and A^-s times it to the diagram with e_i below
+    (times delta on a loop)."""
+    def add(new, diag, terms, shifts, scale):
+        tgt = new.setdefault(diag, {})
+        for e, c in terms.items():
+            for k in shifts:
+                tgt[e + k] = tgt.get(e + k, 0) + scale * c
+
+    n = word.strands
+    vec = {invariants._identity_diagram(n): {0: 1}}
+    for letter in word.letters:
+        i = abs(letter) - 1
+        s = 1 if letter > 0 else -1
+        new = {}
+        for diag, terms in vec.items():
+            add(new, diag, terms, (s,), 1)
+            nd, loop = invariants._compose_e(diag, i, n)
+            if loop:
+                add(new, nd, terms, (2 - s, -2 - s), -1)
+            else:
+                add(new, nd, terms, (-s,), 1)
+        vec = {d: t for d, t in ((d, {e: c for e, c in t.items() if c})
+                                 for d, t in new.items()) if t}
+    return invariants._closure_sum((invariants._closure_loops(d, n), t)
+                                   for d, t in vec.items())
+
+
+def random_word_on(rng, n, length):
+    alphabet = [i for i in range(1 - n, n) if i]
+    return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
+
+
+def test_tl_bracket_equals_dict_transfer():
+    rng = random.Random(20261018)
+    words = [BraidWord(n, ()) for n in range(1, 9)]
+    for n in range(2, 9):
+        words += [random_word_on(rng, n, rng.randint(1, 20 if n <= 5 else 14))
+                  for _ in range(25)]
+    links = []
+    while len(links) < 20:
+        w = random_word_on(rng, rng.randint(2, 6), rng.randint(2, 14))
+        if w.component_count() == 2:
+            links.append(w)
+    long3 = random_word_on(rng, 3, 160)  # slot width k = 162 bits
+    words += links + [long3, long3.mirror(),
+                      braid_for(TTKParams(p=9, q=2, r=7, twist_n=1)),
+                      braid_for(TTKParams(p=9, q=7, r=2, twist_n=1))]
+    assert len(words) >= 200
+    assert {x > 0 for w in words for x in w.letters} == {True, False}
+    for w in words:
+        assert tl_bracket(w) == dict_tl_bracket(w), w
+    for w in links:
+        assert jones(w, "tl").var == "t^1/2", w
+
+
+@st.composite
+def short_words(draw, max_strands=6, max_crossings=12):
+    n = draw(st.integers(1, max_strands))
+    if n == 1:
+        return BraidWord(1, ())
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=max_crossings))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_words())
+def test_tl_bracket_equals_state_sum(word):
+    assert tl_bracket(word) == kauffman_bracket(word)
+
+
+def test_unpack_balanced_digits_at_range_edge():
+    for k in (2, 3, 8, 31, 162):
+        edge = (1 << (k - 1)) - 1
+        for digits in ({}, {0: edge}, {0: -edge}, {2: -1},
+                       {0: edge, 3: -edge},        # zero interior slots
+                       {0: -edge, 1: edge, 5: -1},  # negative top slot
+                       {j: (-1) ** j * edge for j in range(6)}):
+            value = sum(c << (k * j) for j, c in digits.items())
+            assert invariants._unpack(value, k) == digits, (k, digits)
 
 
 # -- Alexander ----------------------------------------------------------
