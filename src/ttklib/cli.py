@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success / consistent verification, 1 on domain errors,
-exceeded budgets, or an inconsistent verification, 2 on usage errors.
+exceeded budgets, a result too long to print, or an inconsistent
+verification, 2 on usage errors.
 The environment variable TTK_BUDGET overrides the default crossing
 budget; an explicit --budget flag wins over the environment.
 """
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 
@@ -96,13 +98,37 @@ def _add_ttk_args(parser, required=True):
     parser.add_argument("-n", dest="twist", type=int, required=required)
 
 
+def _decimal_digits(value):
+    """Decimal digit count of ``value``, without converting it to text."""
+    value = abs(value)
+    digits = max(1, int((value.bit_length() - 1) * math.log10(2)))
+    while value >= 10 ** digits:
+        digits += 1
+    return digits
+
+
+def _require_printable(values):
+    """Refuse, before anything is printed, an integer longer than the
+    interpreter's limit on int-to-text conversion."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        digits = _decimal_digits(max(values, key=abs))
+        if digits > limit:
+            raise TTKError(
+                f"the result has {digits} decimal digits; this Python prints "
+                f"integers of at most {limit} (sys.set_int_max_str_digits)")
+
+
 def _cmd_horadam(args):
     m, n = args.m, args.n
     if args.subcommand == "term":
         spec = HoradamSpec(m, n, args.coef_a, args.coef_b)
-        print(horadam_term(spec, args.k))
+        term = horadam_term(spec, args.k)
+        _require_printable([term])
+        print(term)
     elif args.subcommand == "slopes":
         vals = slope_values(HoradamSpec(m, n), args.kmax)
+        _require_printable([v.value for v in vals])
         for s, t in zip(vals[:args.kmax], vals[args.kmax:]):
             print(f"k={s.index} s={s.value} t={t.value}")
     elif args.subcommand == "euclid":

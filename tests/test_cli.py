@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import ttklib
+from ttklib import cli
 from ttklib.classify import census_rows
-from ttklib.cli import _census_json, main
+from ttklib.cli import _census_json, _decimal_digits, main
+from ttklib.horadam import SlopeValue
 
 
 def run(capsys, *argv):
@@ -62,6 +64,48 @@ def test_slopes_kmax_below_one_exit_1(capsys, kmax):
     for command in (("horadam", "slopes"), ("verify", "slopes")):
         result = run(capsys, *command, "-m", "2", "-n", "7", "--kmax", kmax)
         assert result == (1, "", "error: k_max must be >= 1\n"), command
+
+
+def test_horadam_term_too_long_to_print_exit_1(capsys):
+    # H_30000 of the (2,7)-sequence has 6,271 digits: refused before
+    # printing, under the interpreter's default limit of 4,300
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int-to-text conversion")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        result = run(capsys, "horadam", "term", "-m", "2", "-n", "7", "-k", "30000")
+        assert result == (1, "", "error: the result has 6271 decimal digits; this "
+                          "Python prints integers of at most 4300 "
+                          "(sys.set_int_max_str_digits)\n")
+        code, out, _ = run(capsys, "horadam", "term", "-m", "2", "-n", "7", "-k", "20000")
+        assert code == 0 and len(out) == 4181 + 1  # digits and newline
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_horadam_slopes_too_long_to_print_exit_1(capsys, monkeypatch):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int-to-text conversion")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    # s_k passes 4,300 digits near k = 10,300, too slow to reach here
+    monkeypatch.setattr(cli, "slope_values", lambda spec, k_max: [
+        SlopeValue("S", 1, 5), SlopeValue("T", 1, -10 ** 4300)])
+    try:
+        code, out, err = run(capsys, "horadam", "slopes", "-m", "1", "-n", "1",
+                             "--kmax", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the result has 4301 decimal digits;")
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_decimal_digits_at_powers_of_ten():
+    for k in range(1, 2000, 37):
+        assert _decimal_digits(10 ** k - 1) == k
+        assert _decimal_digits(10 ** k) == _decimal_digits(-10 ** k) == k + 1
+    assert _decimal_digits(0) == _decimal_digits(9) == 1
 
 
 def test_horadam_domain_error_exit_1(capsys):

@@ -49,6 +49,126 @@ def test_bracket_budget_error():
     assert exc.value.kind == "crossings" and exc.value.count == 10
 
 
+# -- Kauffman state sum against the per-state sum ----------------------------
+
+def power_closure_sum(pairs):
+    """Oracle: sum of terms * delta^(loops-1), one Laurent power of delta
+    and one product per loop count."""
+    delta = Laurent({2: -1, -2: -1}, var="A")
+    by_loops = {}
+    for loops, terms in pairs:
+        acc = by_loops.setdefault(loops, {})
+        for e, c in terms.items():
+            acc[e] = acc.get(e, 0) + c
+    bracket = Laurent.zero("A")
+    for loops, terms in by_loops.items():
+        bracket = bracket + Laurent(terms, "A") * delta ** (loops - 1)
+    return bracket
+
+
+def state_loops(letters, n, state):
+    """Loop count of the closure after smoothing every crossing:
+    bit 0 = strands pass straight through, bit 1 = cup-cap."""
+    parent = list(range(n))
+    pos = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    loops = 0
+    for idx in range(len(letters)):
+        if not (state >> idx) & 1:
+            continue
+        i = abs(letters[idx]) - 1
+        a, b = find(pos[i]), find(pos[i + 1])
+        if a == b:
+            loops += 1
+        else:
+            parent[a] = b
+        fresh = len(parent)
+        parent.append(fresh)
+        pos[i] = fresh
+        pos[i + 1] = fresh
+    for j in range(n):
+        a, b = find(pos[j]), find(j)
+        if a == b:
+            loops += 1
+        else:
+            parent[a] = b
+    return loops
+
+
+def per_state_bracket(word):
+    """Oracle: the state sum with each of the 2^c states on a fresh
+    union-find and its A-exponent recomputed bit by bit."""
+    letters, n, c = word.letters, word.strands, word.crossing_count
+    signs = [1 if x > 0 else -1 for x in letters]
+    counts = {}
+    for state in range(1 << c):
+        exp = sum(-s if (state >> idx) & 1 else s for idx, s in enumerate(signs))
+        key = (exp, state_loops(letters, n, state))
+        counts[key] = counts.get(key, 0) + 1
+    return power_closure_sum((loops, {exp: cnt}) for (exp, loops), cnt in counts.items())
+
+
+def test_state_sum_equals_per_state_sum():
+    rng = random.Random(20261019)
+    words = [BraidWord(n, ()) for n in range(1, 5)]
+    for n in range(2, 8):
+        words += [random_word_on(rng, n, rng.randint(1, 10)) for _ in range(40)]
+    # strands that no letter touches: letters on a window of the positions
+    for n in range(4, 8):
+        for _ in range(6):
+            lo = rng.randint(1, n - 2)
+            alphabet = [i for i in range(lo, rng.randint(lo, n - 2) + 1)]
+            words.append(BraidWord(n, tuple(rng.choice(alphabet) * rng.choice((1, -1))
+                                            for _ in range(rng.randint(1, 9)))))
+    links = {2: [], 3: []}
+    while len(links[2]) < 20 or len(links[3]) < 10:
+        w = random_word_on(rng, rng.randint(2, 6), rng.randint(2, 12))
+        comps = w.component_count()
+        if comps in links and len(links[comps]) < (20 if comps == 2 else 10):
+            links[comps].append(w)
+    words += links[2] + links[3]
+    words += [random_word_on(rng, n, c) for n, c in ((2, 14), (4, 13), (5, 14))]
+    assert len(words) >= 300
+    assert {x > 0 for w in words for x in w.letters} == {True, False}
+    assert max(w.crossing_count for w in words) == 14
+    assert any(len({abs(x) for x in w.letters} | {abs(x) + 1 for x in w.letters})
+               < w.strands for w in words if w.letters)
+    for w in words:
+        assert kauffman_bracket(w) == per_state_bracket(w), w
+
+
+def test_state_sum_many_arcs_equals_tl():
+    # 12 strands, 16 crossings: 32 arcs and a walk 16 levels deep
+    rng = random.Random(12)
+    w = BraidWord(12, tuple(range(1, 12)) + tuple(
+        rng.choice((1, -1)) * rng.randint(1, 11) for _ in range(5)))
+    assert w.crossing_count == 16
+    assert kauffman_bracket(w) == tl_bracket(w, strand_limit=w.strands)
+
+
+def test_closure_sum_equals_delta_powers():
+    rng = random.Random(31)
+    for _ in range(400):
+        used = rng.sample(range(1, 13), rng.randint(0, 5))  # gaps in loops
+        pairs = []
+        for loops in used:
+            for _ in range(rng.randint(1, 3)):
+                terms = {rng.randint(-20, 20): rng.randint(-9, 9)
+                         for _ in range(rng.randint(0, 4))}
+                pairs.append((loops, terms))
+                if rng.random() < 0.3:  # cancelling terms
+                    pairs.append((loops, {e: -c for e, c in terms.items()}))
+        assert invariants._closure_sum(pairs) == power_closure_sum(pairs), pairs
+    assert invariants._closure_sum([]) == 0
+    assert invariants._closure_sum([(12, {3: 5}), (12, {3: -5})]) == 0
+
+
 # -- Jones --------------------------------------------------------------
 
 def test_jones_trefoil_both_methods():
@@ -197,6 +317,12 @@ def short_words(draw, max_strands=6, max_crossings=12):
 @given(short_words())
 def test_tl_bracket_equals_state_sum(word):
     assert tl_bracket(word) == kauffman_bracket(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(short_words(max_crossings=10))
+def test_state_sum_equals_per_state_sum_hypothesis(word):
+    assert kauffman_bracket(word) == per_state_bracket(word)
 
 
 def test_unpack_balanced_digits_at_range_edge():
