@@ -78,14 +78,22 @@ def _require_unit(spec):
         raise DomainError("slope sequences are defined only for a = b = 1")
 
 
+def _s_form(h_prev, h):
+    """h^2 + h_prev*h - h_prev^2: s_k at (H_{k-1}, H_k)."""
+    return h * h + h_prev * h - h_prev * h_prev
+
+
+def _t_form(h, h_next):
+    """h_next^2 + h_next*h + h^2: t_k at (H_k, H_{k+1})."""
+    return h_next * h_next + h_next * h + h * h
+
+
 def slope_s(spec, k):
     """s_k = H_k^2 + H_{k-1}*H_k - H_{k-1}^2, for k >= 1."""
     _require_unit(spec)
     if k < 1:
         raise DomainError("slope index must be >= 1")
-    hk1 = horadam_term(spec, k - 1)
-    hk = horadam_term(spec, k)
-    return hk * hk + hk1 * hk - hk1 * hk1
+    return _s_form(horadam_term(spec, k - 1), horadam_term(spec, k))
 
 
 def slope_t(spec, k):
@@ -93,9 +101,7 @@ def slope_t(spec, k):
     _require_unit(spec)
     if k < 1:
         raise DomainError("slope index must be >= 1")
-    hk = horadam_term(spec, k)
-    hk2 = horadam_term(spec, k + 1)
-    return hk2 * hk2 + hk2 * hk + hk * hk
+    return _t_form(horadam_term(spec, k), horadam_term(spec, k + 1))
 
 
 @dataclass(frozen=True)
@@ -111,10 +117,13 @@ def _require_k_max(k_max):
 
 
 def slope_values(spec, k_max):
-    """All s_k, then all t_k, for 1 <= k <= k_max."""
+    """All s_k, then all t_k, for 1 <= k <= k_max, from one pass over
+    H_0 .. H_{k_max+1}."""
     _require_k_max(k_max)
-    out = [SlopeValue("S", k, slope_s(spec, k)) for k in range(1, k_max + 1)]
-    out += [SlopeValue("T", k, slope_t(spec, k)) for k in range(1, k_max + 1)]
+    _require_unit(spec)
+    H = spec.terms(k_max + 2)
+    out = [SlopeValue("S", k, _s_form(H[k - 1], H[k])) for k in range(1, k_max + 1)]
+    out += [SlopeValue("T", k, _t_form(H[k], H[k + 1])) for k in range(1, k_max + 1)]
     return out
 
 
@@ -146,9 +155,9 @@ def check_slope_relations(spec, k_max):
         eps = 1 if k % 2 == 0 else 0
         lhs1 = H[k] ** 2 + H[k + 1] * H[k] - H[k + 1] ** 2
         rhs1 = (-1) ** k * s
-        lhs2 = H[k] ** 2 + H[k] * H[k - 1] - H[k - 1] ** 2
+        lhs2 = _s_form(H[k - 1], H[k])
         rhs2 = base + 2 * eps * s + 2 * sq_sum
-        lhs3 = H[k] ** 2 + H[k] * H[k - 1] + H[k - 1] ** 2
+        lhs3 = _t_form(H[k - 1], H[k])
         rhs3 = rhs2 + 2 * H[k - 1] ** 2
         for part, lhs, rhs in ((1, lhs1, rhs1), (2, lhs2, rhs2), (3, lhs3, rhs3)):
             if lhs != rhs:

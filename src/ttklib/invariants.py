@@ -6,11 +6,10 @@ bounded strand count) and the Kauffman state sum over 2^c smoothings,
 walked depth first on an undoable union-find (small-scale oracle); both
 end in one Horner sum over loop counts.  Alexander comes from
 the reduced Burau representation; its determinant is computed exactly
-by sparse fraction-free Bareiss elimination, with modular
-evaluation/interpolation under a rigorous coefficient bound and CRT
-reconstruction as the independent route.  Closed forms
-for torus knots provide the reference values for torus-detection
-cross-checks.
+by sparse fraction-free Bareiss elimination, its one route.  Modular
+evaluation/interpolation with CRT reconstruction checks it as an
+independent oracle in the tests.  Closed forms for torus knots provide
+the reference values for torus-detection cross-checks.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-
-import numpy as np
 
 from .errors import BudgetError, DomainError, NotAKnotError
 from .laurent import Laurent, divide_terms, mul_terms
@@ -401,7 +398,7 @@ def burau_matrix(word):
     return [[Laurent(cols[c].get(r), var="t") for c in range(d)] for r in range(d)]
 
 
-def _det_bareiss(rows):
+def det_laurent(rows):
     """Exact determinant of a matrix of Laurent polynomials by
     fraction-free (Bareiss) elimination over sparse rows of raw dicts.
 
@@ -442,226 +439,6 @@ def _det_bareiss(rows):
     return Laurent(prev, var="t") * sign
 
 
-# -- modular determinant path ------------------------------------------
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_PRIME_CACHE = []
-
-
-def _get_primes(count):
-    """The ``count`` largest primes below 2^31, descending."""
-    while len(_PRIME_CACHE) < count:
-        n = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 31) - 1
-        while not _is_probable_prime(n):
-            n -= 2
-        _PRIME_CACHE.append(n)
-    return _PRIME_CACHE[:count]
-
-
-def _modpow_vec(base, exp, p):
-    result = np.ones_like(base)
-    b = base % p
-    e = exp
-    while e:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
-    return result
-
-
-def _batch_det_mod(mats, p):
-    """Determinants of a batch of integer matrices modulo p.
-    mats has shape (N, d, d) and is consumed."""
-    m = mats % p
-    N, d, _ = m.shape
-    det = np.ones(N, dtype=np.int64)
-    for k in range(d):
-        sub = m[:, k:, k]
-        nz = sub != 0
-        pividx = nz.argmax(axis=1)
-        need = pividx > 0
-        if need.any():
-            idx = np.nonzero(need)[0]
-            rk = k + pividx[idx]
-            tmp = m[idx, k, :].copy()
-            m[idx, k, :] = m[idx, rk, :]
-            m[idx, rk, :] = tmp
-            det[idx] = (p - det[idx]) % p
-        piv = m[:, k, k].copy()
-        det = det * piv % p
-        if k + 1 < d:
-            piv_safe = np.where(piv == 0, 1, piv)
-            inv = _modpow_vec(piv_safe, p - 2, p)
-            factor = m[:, k + 1:, k] * inv[:, None] % p
-            m[:, k + 1:, k:] = (m[:, k + 1:, k:] - factor[:, :, None]
-                                * m[:, k, k:][:, None, :]) % p
-    return det
-
-
-def _modinv_vec(a, p):
-    return _modpow_vec(a % p, p - 2, p)
-
-
-def _interp_mod(xs, ys, p):
-    """Coefficients of the unique polynomial of degree < N through the
-    points (xs, ys), all arithmetic modulo p (Newton form)."""
-    N = len(xs)
-    c = ys.copy() % p
-    for k in range(1, N):
-        num = (c[k:] - c[k - 1:N - 1]) % p
-        den = (xs[k:] - xs[:N - k]) % p
-        c[k:] = num * _modinv_vec(den, p) % p
-    coeffs = np.zeros(N, dtype=np.int64)
-    coeffs[0] = c[N - 1]
-    for k in range(N - 2, -1, -1):
-        shifted = np.empty(N, dtype=np.int64)
-        shifted[0] = 0
-        shifted[1:] = coeffs[:-1]
-        coeffs = (shifted - xs[k] * coeffs) % p
-        coeffs[0] = (coeffs[0] + c[k]) % p
-    return coeffs
-
-
-def _isqrt_ceil(n):
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
-def _det_coeff_bound(rows):
-    """Rigorous bound on coefficient magnitudes of det(rows): at each
-    |z| = 1, Hadamard gives |det(z)| <= prod_i ||row_i(z)||_2, and every
-    coefficient of det is bounded by that maximum.  Rows and columns
-    both bound; take the smaller."""
-    d = len(rows)
-    best = None
-    for axis in (0, 1):
-        prod = 1
-        for i in range(d):
-            entries = rows[i] if axis == 0 else [rows[j][i] for j in range(d)]
-            sq = sum(e.one_norm() ** 2 for e in entries)
-            prod *= _isqrt_ceil(sq)
-        best = prod if best is None else min(best, prod)
-    return max(best, 1)
-
-
-def _det_modular(rows):
-    """Exact determinant via evaluation at integer points modulo enough
-    31-bit primes, Newton interpolation, and CRT reconstruction.  The
-    prime count comes from a rigorous Hadamard-style coefficient bound,
-    so the result is deterministic."""
-    d = len(rows)
-    if d == 0:
-        return Laurent.one("t")
-    lo = hi = 0
-    for i in range(d):
-        nz = [e for e in rows[i] if not e.is_zero]
-        if not nz:
-            return Laurent.zero("t")
-        lo += min(e.min_exp for e in nz)
-        hi += max(e.max_exp for e in nz)
-    N = hi - lo + 1
-    bound = _det_coeff_bound(rows)
-    primes = []
-    prod = 1
-    idx = 0
-    while prod <= 2 * bound:
-        primes = _get_primes(idx + 1)
-        prod *= primes[idx]
-        idx += 1
-    primes = primes[:idx]
-
-    # group matrix terms by exponent once
-    by_exp = {}
-    for i in range(d):
-        for j in range(d):
-            for e, c in rows[i][j].terms.items():
-                by_exp.setdefault(e, []).append((i, j, c))
-    pos_exps = sorted(e for e in by_exp if e >= 0)
-    neg_exps = sorted((e for e in by_exp if e < 0), reverse=True)
-
-    residues = []
-    for p in primes:
-        xs = np.arange(1, N + 1, dtype=np.int64)
-        acc = np.zeros((N, d, d), dtype=np.int64)
-        pw = np.ones(N, dtype=np.int64)
-        last = 0
-        for e in pos_exps:
-            pw = pw * _modpow_vec(xs, e - last, p) % p if e - last > 1 else (
-                pw * xs % p if e != last else pw)
-            last = e
-            for i, j, c in by_exp[e]:
-                acc[:, i, j] = (acc[:, i, j] + (c % p) * pw) % p
-        if neg_exps:
-            invx = _modinv_vec(xs, p)
-            pw = np.ones(N, dtype=np.int64)
-            last = 0
-            for e in neg_exps:
-                steps = last - e
-                pw = pw * _modpow_vec(invx, steps, p) % p if steps > 1 else pw * invx % p
-                last = e
-                for i, j, c in by_exp[e]:
-                    acc[:, i, j] = (acc[:, i, j] + (c % p) * pw) % p
-        dets = _batch_det_mod(acc, p)
-        # P(x) = x^(-lo) * det(x) is a polynomial of degree <= N-1
-        shift = _modpow_vec(xs, (-lo) % (p - 1), p)
-        ys = dets * shift % p
-        residues.append(_interp_mod(xs, ys, p))
-
-    half = prod // 2
-    terms = {}
-    for k in range(N):
-        # CRT combine coefficient k
-        val, mod = 0, 1
-        for p, res in zip(primes, residues):
-            r = int(res[k])
-            inv = pow(mod % p, p - 2, p)
-            val = val + mod * ((r - val) * inv % p)
-            mod *= p
-        if val > half:
-            val -= prod
-        if val:
-            terms[lo + k] = val
-    return Laurent(terms, var="t")
-
-
-def _det_route(method):
-    """The determinant routine a method names; "auto" is Bareiss."""
-    if method in ("auto", "bareiss"):
-        return _det_bareiss
-    if method == "modular":
-        return _det_modular
-    raise DomainError(f"unknown determinant method {method!r}")
-
-
-def det_laurent(rows, method="auto"):
-    """Determinant of a square matrix of Laurent polynomials, by the
-    "bareiss" (also "auto") or the "modular" route."""
-    return _det_route(method)(rows)
-
-
 def _normalize_alexander(poly, strands):
     """Divide out (t^n - 1)/(t - 1) and normalize to the symmetric
     representative with value 1 at t = 1."""
@@ -682,11 +459,10 @@ def _normalize_alexander(poly, strands):
     return delta
 
 
-def alexander(word, det_method="auto"):
+def alexander(word):
     """Alexander polynomial of the knot closure, from the reduced Burau
     matrix: Delta = det(B(w) - I) * (t-1)/(t^n - 1), symmetrized with
     Delta(1) = 1."""
-    _det_route(det_method)
     if not word.is_knot():
         raise NotAKnotError(
             f"closure has {word.component_count()} components; "
@@ -698,7 +474,7 @@ def alexander(word, det_method="auto"):
     d = n - 1
     for i in range(d):
         rows[i][i] = rows[i][i] - 1
-    return _normalize_alexander(det_laurent(rows, det_method), n)
+    return _normalize_alexander(det_laurent(rows), n)
 
 
 def knot_determinant(delta):

@@ -115,9 +115,6 @@ class Laurent:
     def coefficient(self, exp):
         return self.terms.get(exp, 0)
 
-    def one_norm(self):
-        return sum(abs(c) for c in self.terms.values())
-
     def is_constant(self):
         return not self.terms or set(self.terms) == {0}
 

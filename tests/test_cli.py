@@ -203,6 +203,16 @@ def test_census_closed_pipe_exits_quietly():
     assert [json.loads(line)["r"] for line in head] == [2, 3, 4]
 
 
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(ttklib.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, ttklib, ttklib.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_census_rows_deterministic(capsys):
     _, out1, _ = run(capsys, "census", "pp", "--bound", "12")
     _, out2, _ = run(capsys, "census", "pp", "--bound", "12")

@@ -1,7 +1,6 @@
 """Smoke test: the quick demos run to completion.
 
-Each runs in a fresh interpreter and must exit 0.  ``03_knot_types.py``
-is left out because it takes about 26 s.
+Each runs in a fresh interpreter and must exit 0.
 """
 
 import os
@@ -13,7 +12,7 @@ import pytest
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 _DEMOS = ["01_unknot_family.py", "02_horadam_sequences.py",
-          "04_torus_detection.py", "05_census.py"]
+          "03_knot_types.py", "04_torus_detection.py", "05_census.py"]
 
 
 @pytest.mark.parametrize("demo", _DEMOS)

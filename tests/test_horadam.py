@@ -3,12 +3,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttklib import horadam
 from ttklib.errors import DomainError
-from ttklib.horadam import (Embedding, HoradamSpec, check_slope_relations,
-                            closed_form_term, embed_in_unit_sequence,
-                            euclid_trace, fibonacci, horadam_term,
-                            invariant_s, is_maximal_pair, slope_s, slope_t,
-                            slope_values)
+from ttklib.horadam import (Embedding, HoradamSpec, SlopeValue,
+                            check_slope_relations, closed_form_term,
+                            embed_in_unit_sequence, euclid_trace, fibonacci,
+                            horadam_term, invariant_s, is_maximal_pair,
+                            slope_s, slope_t, slope_values)
 
 
 def test_horadam_term_examples():
@@ -55,6 +56,25 @@ def test_slope_values_listing():
     vals = slope_values(HoradamSpec(2, 7), 2)
     d = {(v.kind, v.index): v.value for v in vals}
     assert d[("S", 1)] == 59 and d[("S", 2)] == 95 and d[("T", 1)] == 193
+
+
+def test_slope_values_equal_per_k_slopes_in_one_pass(monkeypatch):
+    cases = [(HoradamSpec(2, 7), 1), (HoradamSpec(0, 1), 8),
+             (HoradamSpec(-1, 4), 25), (HoradamSpec(5, 3), 60),
+             (HoradamSpec(13, -8), 60)]
+    wants = [[SlopeValue("S", k, slope_s(spec, k)) for k in range(1, k_max + 1)]
+             + [SlopeValue("T", k, slope_t(spec, k)) for k in range(1, k_max + 1)]
+             for spec, k_max in cases]
+
+    def refuse(spec, k):
+        raise AssertionError("slope_values must not recompute each term")
+
+    # one pass over spec.terms, not one horadam_term per index
+    monkeypatch.setattr(horadam, "horadam_term", refuse)
+    for (spec, k_max), want in zip(cases, wants):
+        assert slope_values(spec, k_max) == want, spec
+    with pytest.raises(DomainError):
+        slope_values(HoradamSpec(1, 2, a=2, b=1), 3)
 
 
 @given(st.integers(1, 40), st.integers(1, 40))

@@ -1,19 +1,21 @@
 import itertools
+import math
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttklib import invariants
 from ttklib.braids import BraidWord, TTKParams, braid_for, torus_braid
-from ttklib.errors import BudgetError, DomainError, NotAKnotError
+from ttklib.errors import BudgetError, NotAKnotError
 from ttklib.horadam import HoradamSpec, fibonacci
 from ttklib.invariants import (alexander, burau_matrix, det_laurent,
                                equal_up_to_mirror, invariant_report, jones,
                                kauffman_bracket, knot_determinant, tl_bracket,
                                torus_alexander, torus_jones, tl_predicted_ops,
-                               _det_bareiss, _det_modular)
+                               _normalize_alexander)
 from ttklib.knots import lee_torus_qsmall
 from ttklib.laurent import Laurent
 
@@ -497,6 +499,213 @@ def leibniz_det(rows):
     return total
 
 
+# -- modular determinant oracle --------------------------------------------
+# Evaluation at integer points modulo 31-bit primes, Newton interpolation
+# and CRT reconstruction: an independent route to det_laurent's result.
+
+def _is_probable_prime(n):
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_PRIME_CACHE = []
+
+
+def _get_primes(count):
+    """The ``count`` largest primes below 2^31, descending."""
+    while len(_PRIME_CACHE) < count:
+        n = _PRIME_CACHE[-1] - 2 if _PRIME_CACHE else (1 << 31) - 1
+        while not _is_probable_prime(n):
+            n -= 2
+        _PRIME_CACHE.append(n)
+    return _PRIME_CACHE[:count]
+
+
+def _modpow_vec(base, exp, p):
+    result = np.ones_like(base)
+    b = base % p
+    e = exp
+    while e:
+        if e & 1:
+            result = result * b % p
+        b = b * b % p
+        e >>= 1
+    return result
+
+
+def _batch_det_mod(mats, p):
+    """Determinants of a batch of integer matrices modulo p.
+    mats has shape (N, d, d) and is consumed."""
+    m = mats % p
+    N, d, _ = m.shape
+    det = np.ones(N, dtype=np.int64)
+    for k in range(d):
+        sub = m[:, k:, k]
+        nz = sub != 0
+        pividx = nz.argmax(axis=1)
+        need = pividx > 0
+        if need.any():
+            idx = np.nonzero(need)[0]
+            rk = k + pividx[idx]
+            tmp = m[idx, k, :].copy()
+            m[idx, k, :] = m[idx, rk, :]
+            m[idx, rk, :] = tmp
+            det[idx] = (p - det[idx]) % p
+        piv = m[:, k, k].copy()
+        det = det * piv % p
+        if k + 1 < d:
+            piv_safe = np.where(piv == 0, 1, piv)
+            inv = _modpow_vec(piv_safe, p - 2, p)
+            factor = m[:, k + 1:, k] * inv[:, None] % p
+            m[:, k + 1:, k:] = (m[:, k + 1:, k:] - factor[:, :, None]
+                                * m[:, k, k:][:, None, :]) % p
+    return det
+
+
+def _modinv_vec(a, p):
+    return _modpow_vec(a % p, p - 2, p)
+
+
+def _interp_mod(xs, ys, p):
+    """Coefficients of the unique polynomial of degree < N through the
+    points (xs, ys), all arithmetic modulo p (Newton form)."""
+    N = len(xs)
+    c = ys.copy() % p
+    for k in range(1, N):
+        num = (c[k:] - c[k - 1:N - 1]) % p
+        den = (xs[k:] - xs[:N - k]) % p
+        c[k:] = num * _modinv_vec(den, p) % p
+    coeffs = np.zeros(N, dtype=np.int64)
+    coeffs[0] = c[N - 1]
+    for k in range(N - 2, -1, -1):
+        shifted = np.empty(N, dtype=np.int64)
+        shifted[0] = 0
+        shifted[1:] = coeffs[:-1]
+        coeffs = (shifted - xs[k] * coeffs) % p
+        coeffs[0] = (coeffs[0] + c[k]) % p
+    return coeffs
+
+
+def _isqrt_ceil(n):
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def _det_coeff_bound(rows):
+    """Rigorous bound on coefficient magnitudes of det(rows): at each
+    |z| = 1, Hadamard gives |det(z)| <= prod_i ||row_i(z)||_2, and every
+    coefficient of det is bounded by that maximum.  Rows and columns
+    both bound; take the smaller."""
+    d = len(rows)
+    best = None
+    for axis in (0, 1):
+        prod = 1
+        for i in range(d):
+            entries = rows[i] if axis == 0 else [rows[j][i] for j in range(d)]
+            sq = sum(sum(abs(c) for c in e.terms.values()) ** 2 for e in entries)
+            prod *= _isqrt_ceil(sq)
+        best = prod if best is None else min(best, prod)
+    return max(best, 1)
+
+
+def _det_modular(rows):
+    """Exact determinant via evaluation at integer points modulo enough
+    31-bit primes, Newton interpolation, and CRT reconstruction.  The
+    prime count comes from a rigorous Hadamard-style coefficient bound,
+    so the result is deterministic."""
+    d = len(rows)
+    if d == 0:
+        return Laurent.one("t")
+    lo = hi = 0
+    for i in range(d):
+        nz = [e for e in rows[i] if not e.is_zero]
+        if not nz:
+            return Laurent.zero("t")
+        lo += min(e.min_exp for e in nz)
+        hi += max(e.max_exp for e in nz)
+    N = hi - lo + 1
+    bound = _det_coeff_bound(rows)
+    primes = []
+    prod = 1
+    idx = 0
+    while prod <= 2 * bound:
+        primes = _get_primes(idx + 1)
+        prod *= primes[idx]
+        idx += 1
+    primes = primes[:idx]
+
+    # group matrix terms by exponent once
+    by_exp = {}
+    for i in range(d):
+        for j in range(d):
+            for e, c in rows[i][j].terms.items():
+                by_exp.setdefault(e, []).append((i, j, c))
+    pos_exps = sorted(e for e in by_exp if e >= 0)
+    neg_exps = sorted((e for e in by_exp if e < 0), reverse=True)
+
+    residues = []
+    for p in primes:
+        xs = np.arange(1, N + 1, dtype=np.int64)
+        acc = np.zeros((N, d, d), dtype=np.int64)
+        pw = np.ones(N, dtype=np.int64)
+        last = 0
+        for e in pos_exps:
+            pw = pw * _modpow_vec(xs, e - last, p) % p if e - last > 1 else (
+                pw * xs % p if e != last else pw)
+            last = e
+            for i, j, c in by_exp[e]:
+                acc[:, i, j] = (acc[:, i, j] + (c % p) * pw) % p
+        if neg_exps:
+            invx = _modinv_vec(xs, p)
+            pw = np.ones(N, dtype=np.int64)
+            last = 0
+            for e in neg_exps:
+                steps = last - e
+                pw = pw * _modpow_vec(invx, steps, p) % p if steps > 1 else pw * invx % p
+                last = e
+                for i, j, c in by_exp[e]:
+                    acc[:, i, j] = (acc[:, i, j] + (c % p) * pw) % p
+        dets = _batch_det_mod(acc, p)
+        # P(x) = x^(-lo) * det(x) is a polynomial of degree <= N-1
+        shift = _modpow_vec(xs, (-lo) % (p - 1), p)
+        ys = dets * shift % p
+        residues.append(_interp_mod(xs, ys, p))
+
+    half = prod // 2
+    terms = {}
+    for k in range(N):
+        # CRT combine coefficient k
+        val, mod = 0, 1
+        for p, res in zip(primes, residues):
+            r = int(res[k])
+            inv = pow(mod % p, p - 2, p)
+            val = val + mod * ((r - val) * inv % p)
+            mod *= p
+        if val > half:
+            val -= prod
+        if val:
+            terms[lo + k] = val
+    return Laurent(terms, var="t")
+
+
 def _oracle_words():
     """Burau inputs of the paper's families: the Fibonacci unknots, the
     Lemma 9 pairs and Lee's q-small torus matches."""
@@ -518,7 +727,7 @@ def test_bareiss_equals_modular_on_burau_matrices():
     for _ in range(25):
         w = random_word(rng, max_strands=6, max_len=14)
         rows = burau_minus_identity(w)
-        a = _det_bareiss([row[:] for row in rows])
+        a = det_laurent([row[:] for row in rows])
         b = _det_modular([row[:] for row in rows])
         assert a == b, w
 
@@ -526,7 +735,7 @@ def test_bareiss_equals_modular_on_burau_matrices():
 def test_bareiss_equals_modular_on_paper_families():
     for params in _oracle_words():
         rows = burau_minus_identity(braid_for(params))
-        assert _det_bareiss(rows) == _det_modular(rows), params
+        assert det_laurent(rows) == _det_modular(rows), params
 
 
 def test_bareiss_equals_modular_on_dense_random_words():
@@ -537,7 +746,7 @@ def test_bareiss_equals_modular_on_dense_random_words():
         rows = burau_minus_identity(w)
         # well above the 2.5 to 4.2 terms per row of the paper's families
         assert sum(len(e.terms) for row in rows for e in row) > 8 * (n - 1)
-        assert _det_bareiss(rows) == _det_modular(rows), w
+        assert det_laurent(rows) == _det_modular(rows), w
 
 
 def test_det_small_and_degenerate_matrices():
@@ -558,51 +767,27 @@ def test_det_small_and_degenerate_matrices():
     ]
     for rows in cases:
         want = leibniz_det(rows) if rows else Laurent.one()
-        assert _det_bareiss(rows) == want, rows
+        assert det_laurent(rows) == want, rows
         assert _det_modular(rows) == want, rows
     assert leibniz_det(cases[-1]) == 0
     assert leibniz_det(cases[3]) == -1
 
 
-def test_det_laurent_routes(monkeypatch):
+def test_det_laurent_equals_modular_on_three_matrices():
     sparse = burau_minus_identity(braid_for(TTKParams(p=34, q=13, r=21, twist_n=-1)))
     twisted = burau_minus_identity(braid_for(TTKParams(p=13, q=5, r=8, twist_n=4)))
     rng = random.Random(10)
     alphabet = [i for i in range(-9, 10) if i]
     dense = burau_minus_identity(BraidWord(10, tuple(rng.choice(alphabet) for _ in range(80))))
-    want = [_det_modular(rows) for rows in (sparse, twisted, dense)]
-
-    def refuse(rows):
-        raise AssertionError("wrong determinant route")
-
-    monkeypatch.setattr(invariants, "_det_modular", refuse)
-    for rows, det in zip((sparse, twisted, dense), want):
-        assert det_laurent(rows) == det
-        assert det_laurent(rows, "bareiss") == det
-    monkeypatch.undo()
-    monkeypatch.setattr(invariants, "_det_bareiss", refuse)
-    assert det_laurent(dense, "modular") == want[2]
-
-
-def test_det_unknown_method_raises():
-    with pytest.raises(DomainError):
-        det_laurent([[Laurent.one()]], "Bareiss")
-    with pytest.raises(DomainError):
-        det_laurent([], "Bareiss")
-    with pytest.raises(DomainError):
-        alexander(TREFOIL, det_method="crt")
-    with pytest.raises(DomainError):
-        alexander(BraidWord(1, ()), det_method="Bareiss")
-    # the method is checked before the knot check
-    with pytest.raises(DomainError):
-        alexander(BraidWord(2, (1, 1)), det_method="Bareiss")
+    for rows in (sparse, twisted, dense):
+        assert det_laurent(rows) == _det_modular(rows)
 
 
 def test_det_singular_matrix():
     one = Laurent.one("t")
     rows = [[one, one], [one, one]]
-    assert det_laurent(rows, "bareiss") == 0
-    assert det_laurent(rows, "modular") == 0
+    assert det_laurent(rows) == 0
+    assert _det_modular(rows) == 0
 
 
 def test_det_modular_many_primes():
@@ -612,7 +797,7 @@ def test_det_modular_many_primes():
     d = 8
     rows = [[Laurent({e: rng.randrange(-(1 << 40), 1 << 40) for e in range(-2, 3)})
              for _ in range(d)] for _ in range(d)]
-    a = _det_bareiss([row[:] for row in rows])
+    a = det_laurent([row[:] for row in rows])
     b = _det_modular([row[:] for row in rows])
     assert a == b
     assert max(abs(c) for c in a.terms.values()).bit_length() > 250
@@ -628,12 +813,13 @@ def test_det_modular_long_words():
         rows = burau_matrix(w)
         for i in range(n - 1):
             rows[i][i] = rows[i][i] - 1
-        assert _det_bareiss([r[:] for r in rows]) == _det_modular([r[:] for r in rows])
+        assert det_laurent([r[:] for r in rows]) == _det_modular([r[:] for r in rows])
 
 
-def test_alexander_det_methods_agree():
+def test_alexander_equals_modular_determinant():
     w = braid_for(TTKParams(p=8, q=3, r=5, twist_n=-1))
-    assert alexander(w, det_method="bareiss") == alexander(w, det_method="modular")
+    want = _normalize_alexander(_det_modular(burau_minus_identity(w)), w.strands)
+    assert alexander(w) == want
 
 
 # -- misc ----------------------------------------------------------------
