@@ -3,14 +3,13 @@ constructions, exact knot-polynomial invariants, Horadam sequence
 machinery, and closed-form classification censuses."""
 
 from .braids import (BraidWord, TTKParams, braid_for, pass_under_block,
-                     torus_braid, ttk_braid, ttk_braid_full)
+                     torus_braid)
 from .classify import (CensusReport, FamilyMatch, Triple, all_triples,
                        census_rows, is_p_hyperseifert, is_pp,
                        is_primitive_Hprime, middle_seifert_beta,
                        normalized_triple, pp_census, pp_families, ps_census,
                        ps_families, ps_flag_shape)
-from .errors import (BudgetError, DomainError, NotAKnotError, TTKError,
-                     UnsupportedRangeError)
+from .errors import BudgetError, DomainError, NotAKnotError, TTKError
 from .horadam import (Embedding, EuclidTrace, HoradamSpec, SlopeValue,
                       check_slope_relations, closed_form_term,
                       embed_in_unit_sequence, euclid_trace, fibonacci,

@@ -2,11 +2,20 @@
 
 A braid word on ``strands`` strands is a sequence of nonzero integers:
 letter i > 0 is the generator sigma_i (strand i crosses OVER strand
-i+1), letter -i is its inverse.  K(p,q,r,n) with r <= p closes the
-p-strand word (s_{p-1}...s_1)^q (s_{r-1}...s_1)^{n*r}; the twist block
-exponent n*r realizes n FULL twists on r strands.  For r = p+q the
-braid lives on p+q strands: n full twists on everything followed by the
-q leftmost strands passing under the p rightmost.
+i+1), letter -i is its inverse.
+
+``braid_for`` builds K(p,q,r,n) for every 1 <= r <= p+q, on the fewest
+strands s.  The twist block (s_{r-1}...s_1)^{n*r} realizes n FULL
+twists on r adjacent strands.
+- s = min(p,q) when r <= min(p,q) and min(p,q) >= 2, else s = max(p,q)
+  when r <= max(p,q): the torus braid (s_{s-1}...s_1)^{p+q-s} on s
+  strands, then the twist block.  Choosing between p and q uses
+  K(p,q,r,n) = K(q,p,r,n), the symmetry of the torus knot T(p,q).
+- otherwise s = p+q: the twist block on p+q strands, then U(q,p), the q
+  leftmost strands passing under the p rightmost.  At r = p+q the twist
+  block is n full twists on every strand.
+Twisted torus links are Lorenz links with explicit braids (J. Birman and
+I. Kofman, "A new twist on Lorenz links", J. Topology 2, 2009).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import DomainError, UnsupportedRangeError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -97,8 +106,10 @@ class BraidWord:
 class TTKParams:
     """Parameters (p, q, r, cable_m, twist_n) of a twisted torus knot.
 
-    q = 1 and r = 1 are tolerated so that the degenerate small members
-    of the Fibonacci unknot family still resolve to braids.
+    Every 1 <= r <= p+q is valid, and ``braid_for`` builds each of them
+    when cable_m = 1.  q = 1 and r = 1 are tolerated so that the
+    degenerate small members of the Fibonacci unknot family still
+    resolve to braids.
     """
 
     p: int
@@ -145,18 +156,6 @@ def torus_braid(p, q):
     return BraidWord(p, _block_power(_descending_run(p - 1), q))
 
 
-def ttk_braid(params):
-    """K(p,q,r,n) with r <= p as a p-strand braid."""
-    if params.cable_m != 1:
-        raise DomainError("braid construction requires cable_m = 1")
-    if params.r > params.p:
-        raise DomainError(f"ttk_braid needs r <= p, got r = {params.r}")
-    letters = _block_power(_descending_run(params.p - 1), params.q)
-    letters += _block_power(_descending_run(params.r - 1),
-                            params.twist_n * params.r)
-    return BraidWord(params.p, letters)
-
-
 def pass_under_block(q, p):
     """U(q, p): the q leftmost strands pass across the p rightmost, on
     p+q strands: product for i from q down to 1 of
@@ -173,26 +172,17 @@ def pass_under_block(q, p):
     return letters
 
 
-def ttk_braid_full(params):
-    """K(p,q,p+q,n) as a braid on p+q strands: n full twists on all
-    strands, then the q leftmost strands pass under the p rightmost."""
+def braid_for(params):
+    """K(p,q,r,n) as a braid word on the fewest strands s (see the
+    module docstring): the torus braid on s in {p, q} strands followed
+    by the twist block, or on p+q strands the twist block followed by
+    U(q, p)."""
     if params.cable_m != 1:
         raise DomainError("braid construction requires cable_m = 1")
-    if params.r != params.p + params.q:
-        raise DomainError(f"ttk_braid_full needs r = p + q, got r = {params.r}")
-    total = params.p + params.q
-    letters = _block_power(_descending_run(total - 1), params.twist_n * total)
-    letters += pass_under_block(params.q, params.p)
-    return BraidWord(total, letters)
-
-
-def braid_for(params):
-    """Dispatch on r: r <= p uses the standard word, r = p+q the
-    full-twist word; p < r < p+q is not constructible here."""
-    if params.r <= params.p:
-        return ttk_braid(params)
-    if params.r == params.p + params.q:
-        return ttk_braid_full(params)
-    raise UnsupportedRangeError(
-        f"unsupported range: no braid word for p < r < p+q "
-        f"(p = {params.p}, q = {params.q}, r = {params.r})")
+    p, q, r = params.p, params.q, params.r
+    small, big = sorted((p, q))
+    twist = _block_power(_descending_run(r - 1), params.twist_n * r)
+    s = small if r <= small and small >= 2 else big
+    if r <= s:
+        return BraidWord(s, _block_power(_descending_run(s - 1), p + q - s) + twist)
+    return BraidWord(p + q, twist + pass_under_block(q, p))

@@ -186,8 +186,12 @@ def _cmd_invariant(args, limits):
     else:
         if args.jones:
             print(f"jones: {rep.jones if rep.jones is not None else rep.jones_status}")
-        print(f"alexander: {rep.alexander}")
-        print(f"determinant: {rep.determinant}")
+        if rep.alexander is None:
+            print(f"alexander: n/a (closure has {word.component_count()} components)")
+            print("determinant: n/a")
+        else:
+            print(f"alexander: {rep.alexander}")
+            print(f"determinant: {rep.determinant}")
     return 0
 
 

@@ -9,11 +9,6 @@ class DomainError(TTKError):
     """A parameter violates a documented precondition."""
 
 
-class UnsupportedRangeError(DomainError):
-    """Braid construction requested for p < r < p+q, which has no
-    specified braid word here (other than r = p+q)."""
-
-
 class NotAKnotError(DomainError):
     """An operation that requires a one-component closure was given a
     multi-component link."""

@@ -545,8 +545,8 @@ def equal_up_to_mirror(f, g):
 class InvariantReport:
     jones: Laurent | None
     jones_status: str  # "ok" or "skipped (<reason>)"
-    alexander: Laurent
-    determinant: int
+    alexander: Laurent | None  # None for a link
+    determinant: int | None
     crossing_count: int
     strand_count: int
 
@@ -554,7 +554,8 @@ class InvariantReport:
         return {
             "jones": self.jones.to_json_dict() if self.jones is not None else None,
             "jones_status": self.jones_status,
-            "alexander": self.alexander.to_json_dict(),
+            "alexander": (self.alexander.to_json_dict()
+                          if self.alexander is not None else None),
             "determinant": self.determinant,
             "crossing_count": self.crossing_count,
             "strand_count": self.strand_count,
@@ -565,9 +566,11 @@ def invariant_report(word, want_jones=True,
                      crossing_budget=DEFAULT_CROSSING_BUDGET,
                      strand_limit=DEFAULT_STRAND_LIMIT,
                      tl_ops=DEFAULT_TL_OPS):
-    """Alexander, determinant, and (when within limits) Jones of a knot
-    closure."""
-    delta = alexander(word)
+    """Alexander, determinant, and (when within limits) Jones of a braid
+    closure.  A link has no Alexander polynomial or determinant here
+    (both None), so it is refused without ``want_jones``
+    (NotAKnotError) and when Jones exceeds a limit (BudgetError)."""
+    delta = None if want_jones and not word.is_knot() else alexander(word)
     v = None
     status = "not requested"
     if want_jones:
@@ -575,8 +578,11 @@ def invariant_report(word, want_jones=True,
             v = jones(word, "auto", crossing_budget, strand_limit, tl_ops)
             status = "ok"
         except BudgetError as exc:
+            if delta is None:  # a link: nothing else would be answered
+                raise
             status = f"skipped ({exc.kind} budget: {exc.count})"
-    return InvariantReport(v, status, delta, knot_determinant(delta),
+    return InvariantReport(v, status, delta,
+                           None if delta is None else knot_determinant(delta),
                            word.crossing_count, word.strands)
 
 

@@ -13,7 +13,9 @@ import re
 from fractions import Fraction
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?\d*)\s*\*?\s*(?:(?P<var>[A-Za-z](?:\^1/2)?)(?:\^(?P<exp>-?\d+))?)?$"
+    r"^(?P<coef>[+-]?\d*)\s*\*?\s*"
+    r"(?:(?:(?P<var>[A-Za-z](?:\^1/2)?)|\((?P<half>[A-Za-z]\^1/2)\))"
+    r"(?:\^(?P<exp>-?\d+))?)?$"
 )
 
 
@@ -254,7 +256,8 @@ class Laurent:
             if e == 0:
                 body = str(abs(c))
             else:
-                vpart = self.var if e == 1 else f"{self.var}^{e}"
+                base = f"({self.var})" if "^" in self.var else self.var
+                vpart = self.var if e == 1 else f"{base}^{e}"
                 body = vpart if abs(c) == 1 else f"{abs(c)}{vpart}"
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
@@ -287,7 +290,8 @@ class Laurent:
             m = _TERM_RE.match(part)
             if not m:
                 raise ValueError(f"cannot parse term {part!r}")
-            coef_s, v, exp_s = m.group("coef"), m.group("var"), m.group("exp")
+            coef_s, exp_s = m.group("coef"), m.group("exp")
+            v = m.group("var") or m.group("half")
             coef = int(coef_s) if coef_s else 1
             if v is None:
                 exp = 0

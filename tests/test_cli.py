@@ -119,9 +119,11 @@ def test_braid_command(capsys):
     assert out == "B5: 4 3 2 1 4 3 2 1 -1 -2 -1 -2 -1 -2\n"
 
 
-def test_braid_unsupported_range(capsys):
-    code, _, err = run(capsys, "braid", "-p", "5", "-q", "3", "-r", "6", "-n", "1")
-    assert code == 1 and "unsupported range" in err
+def test_braid_between_max_and_p_plus_q(capsys):
+    code, out, _ = run(capsys, "braid", "-p", "5", "-q", "3", "-r", "6", "-n", "1")
+    assert code == 0
+    assert out == ("B8: 5 4 3 2 1 5 4 3 2 1 5 4 3 2 1 5 4 3 2 1 5 4 3 2 1 "
+                   "5 4 3 2 1 3 4 5 6 7 2 3 4 5 6 1 2 3 4 5\n")
 
 
 def test_invariant_command(capsys):
@@ -144,6 +146,28 @@ def test_invariant_word_json(capsys):
     data = json.loads(out)
     assert data["determinant"] == 3
     assert data["jones"]["terms"] == [[1, 1], [3, 1], [4, -1]]
+
+
+def test_invariant_link_jones(capsys):
+    code, out, _ = run(capsys, "invariant", "--word", "B2: 1 1", "--jones")
+    assert code == 0
+    assert out == ("jones: -t^1/2 - (t^1/2)^5\n"
+                   "alexander: n/a (closure has 2 components)\n"
+                   "determinant: n/a\n")
+    code, out, _ = run(capsys, "invariant", "--word", "B2: 1 1", "--jones",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["alexander"] is None and data["determinant"] is None
+    assert data["jones"] == {"terms": [[1, -1], [5, -1]], "var": "t^1/2"}
+    # without --jones there is nothing to answer for a link
+    code, out, err = run(capsys, "invariant", "--word", "B2: 1 1")
+    assert code == 1 and out == ""
+    assert err == "error: closure has 2 components; the Alexander route needs a knot\n"
+    # nor when its Jones polynomial is over the limits
+    code, out, err = run(capsys, "--budget", "1", "--tl-ops", "1",
+                         "invariant", "--word", "B2: 1 1", "--jones")
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_invariant_budget_error(capsys):

@@ -843,6 +843,19 @@ def test_invariant_report():
     assert d["jones"]["terms"] == [[1, 1], [3, 1], [4, -1]]
 
 
+def test_invariant_report_on_a_link():
+    hopf = BraidWord(2, (1, 1))
+    rep = invariant_report(hopf)
+    assert rep.jones == Laurent({1: -1, 5: -1}, "t^1/2")
+    assert rep.alexander is None and rep.determinant is None
+    d = rep.to_json_dict()
+    assert d["alexander"] is None and d["determinant"] is None
+    with pytest.raises(NotAKnotError):
+        invariant_report(hopf, want_jones=False)
+    with pytest.raises(BudgetError):
+        invariant_report(hopf, tl_ops=1, crossing_budget=1)
+
+
 def test_invariant_report_jones_skipped():
     w = braid_for(TTKParams(p=13, q=5, r=8, twist_n=-1))
     rep = invariant_report(w, tl_ops=1000, crossing_budget=10)

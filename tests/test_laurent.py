@@ -89,6 +89,13 @@ def test_parse_round_trip():
         assert Laurent.parse(str(p)) == p
 
 
+def test_half_variable_powers_print_in_parentheses():
+    v = Laurent({-3: 2, 1: -1, 5: -1}, "t^1/2")
+    assert str(v) == "2(t^1/2)^-3 - t^1/2 - (t^1/2)^5"
+    assert Laurent.parse(str(v)) == v
+    assert Laurent.parse(str(v)).var == "t^1/2"
+
+
 def test_json_round_trip():
     p = L({-2: 4, 0: -1, 7: 3})
     d = p.to_json_dict()
