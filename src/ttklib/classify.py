@@ -8,17 +8,23 @@ with respect to the second handlebody is r = +-1 or +-p (mod q).  Each
 predicate depends on r only through r mod p and r mod q, so it is one
 lookup into per-pair tables: the allowed residues mod p and mod q, and
 the least beta for each residue mod p.  The census walks the coprime
-pairs (p, q), builds those tables once per pair, and classifies every r
-with two modulo operations; it steps through the sorted family tables
-in the same (p, q, r) order, so it builds a Triple only for a triple it
-reports.  The closed-form families are enumerated exactly as
-parameterized, and the censuses compare them against the predicates,
-which are always the ground truth.
+pairs (p, q) and builds those tables once per pair.  Since r runs over
+2..p+q, less than two periods of p, each residue mod p holds at most
+two rows, so the walk fills the pair's columns ``pp``, ``ps`` and
+``ps_beta`` over r from the residue tables rather than row by row.  It
+steps through the sorted family tables in the same (p, q, r) order, so
+it builds a Triple only for a triple it reports, and marks the few rows
+a family reaches as special.  ``census_rows`` alone turns the columns
+into row dicts; the reports and the JSON-lines writer read the columns.
+The closed-form families are enumerated exactly as parameterized, and
+the censuses compare them against the predicates, which are always the
+ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 from .errors import DomainError
@@ -279,9 +285,14 @@ class CensusReport:
 
 
 def _census(bound, report=None):
-    """The one census walk: one row per valid triple, in order, filling
-    the report as the rows pass.  Both tables are built up front, the
-    report's own first, so a bad bound is refused as its census does."""
+    """The one census walk: the columns of each coprime pair, in order
+    (see _walk), filling the report as the pairs pass.  Both tables are built
+    up front, the report's own first, so a bad bound is refused as its
+    census does; every row carries the ps families, so the floor is
+    theirs."""
+    if bound < 5:
+        raise DomainError("bound must be >= 5, since census rows carry "
+                          "the ps families")
     kinds = ("ps", "pp") if report is not None and report.kind == "ps" else ("pp", "ps")
     fam = {k: pp_families(bound) if k == "pp" else ps_families(bound) for k in kinds}
     return _walk(bound, fam["pp"], fam["ps"], report)
@@ -295,58 +306,80 @@ class _InOrder:
         self.keys = iter(sorted(fam))
         self.head = next(self.keys, None)
 
-    def r_on(self, p, q):
-        """r of the next family triple if it lies on the pair (p, q), else 0."""
+    def on(self, p, q):
+        """The family triples on the pair (p, q), as r -> (triple,
+        matches); moves past them."""
+        found = {}
         t = self.head
-        return t.r if t is not None and t.p == p and t.q == q else 0
-
-    def take(self):
-        """The next family triple and its matches; moves past it."""
-        t = self.head
-        self.head = next(self.keys, None)
-        return t, self.fam[t]
+        while t is not None and t.p == p and t.q == q:
+            found[t.r] = t, self.fam[t]
+            t = self.head = next(self.keys, None)
+        return found
 
 
 def _walk(bound, pp_fam, ps_fam, report):
+    """Yields (p, q, pp, ps, ps_beta, special) per coprime pair: pp, ps
+    and ps_beta are lists over r = 2..p+q, and special maps each r that a
+    family reaches, in order, to its pp and ps FamilyMatch lists and its
+    flags; every other row has none of the three."""
     kind = report.kind if report is not None else None
     pp_next, ps_next = _InOrder(pp_fam), _InOrder(ps_fam)
     for p, q in _pairs(bound):
         res_p, res_q = _primitive_residues(p, q), _primitive_residues(q, p)
         betas = _least_betas(p, q)
-        pp_r, ps_r = pp_next.r_on(p, q), ps_next.r_on(p, q)
-        for r in range(2, p + q + 1):
-            rp = r % p
-            prim_q = r % q in res_q
-            pp = prim_q and rp in res_p
-            beta = betas.get(rp)
-            ps = prim_q and beta is not None
-            row = {"p": p, "q": q, "r": r, "pp": pp, "pp_families": [],
-                   "ps": ps, "ps_beta": beta, "ps_families": [], "flags": []}
-            if r == pp_r:
-                t, matches = pp_next.take()
-                pp_r = pp_next.r_on(p, q)
-                row["pp_families"] = [m.to_json_dict() for m in matches]
-                if kind == "pp" and not pp:
+        rs = range(2, p + q + 1)
+        pp, ps, beta = [False] * len(rs), [False] * len(rs), [None] * len(rs)
+        # r runs over less than two periods of p, so each residue mod p
+        # holds at most two rows: x and x + p
+        for x in res_p:
+            for r in (x, x + p):
+                if r in rs and r % q in res_q:
+                    pp[r - 2] = True
+        for x, b in betas.items():
+            for r in (x, x + p):
+                if r in rs:
+                    beta[r - 2] = b
+                    ps[r - 2] = r % q in res_q
+        pp_at, ps_at = pp_next.on(p, q), ps_next.on(p, q)
+        special = {}
+        for r in sorted(pp_at.keys() | ps_at.keys()):
+            pp_matches = ps_matches = flags = ()
+            if r in pp_at:
+                t, pp_matches = pp_at[r]
+                if kind == "pp" and not pp[r - 2]:
                     report.extra.append(t)
-            elif pp and kind == "pp":
-                report.missing.append(Triple(p, q, r))
-            if r == ps_r:
-                t, matches = ps_next.take()
-                ps_r = ps_next.r_on(p, q)
-                row["ps_families"] = [m.to_json_dict() for m in matches]
-                if not ps:
-                    shapes = [ps_flag_shape(t, m) for m in matches]
-                    row["flags"] = [f"predicate-invalid:{s or 'unexpected'}"
-                                    for s in shapes]
+            if r in ps_at:
+                t, ps_matches = ps_at[r]
+                if not ps[r - 2]:
+                    shapes = [ps_flag_shape(t, m) for m in ps_matches]
+                    flags = [f"predicate-invalid:{s or 'unexpected'}" for s in shapes]
                     if kind == "ps":
-                        report.flagged += [(t, m, s) for m, s in zip(matches, shapes)]
-            elif ps and kind == "ps":
-                report.missing.append(Triple(p, q, r))
+                        report.flagged += [(t, m, s) for m, s in zip(ps_matches, shapes)]
+            special[r] = pp_matches, ps_matches, flags
+        if kind is not None:
+            own, covered = (pp, pp_at) if kind == "pp" else (ps, ps_at)
+            report.missing += [Triple(p, q, r) for r in compress(rs, own)
+                               if r not in covered]
+        yield p, q, pp, ps, beta, special
+
+
+def _rows(pairs):
+    """The nine-key row dicts of the census columns, in order; the only
+    place that builds them."""
+    for p, q, pp, ps, ps_beta, special in pairs:
+        for r, a, b, beta in zip(range(2, p + q + 1), pp, ps, ps_beta):
+            row = {"p": p, "q": q, "r": r, "pp": a, "pp_families": [],
+                   "ps": b, "ps_beta": beta, "ps_families": [], "flags": []}
+            if r in special:
+                pp_matches, ps_matches, flags = special[r]
+                row["pp_families"] = [m.to_json_dict() for m in pp_matches]
+                row["ps_families"] = [m.to_json_dict() for m in ps_matches]
+                row["flags"] = list(flags)
             yield row
 
 
 def _report(kind, bound, pp_fam, ps_fam):
-    """A census report alone needs only its own family table."""
+    """A census report alone needs only its own family table, and no rows."""
     report = CensusReport(kind, bound, [], [], [])
     for _ in _walk(bound, pp_fam, ps_fam, report):
         pass
@@ -369,4 +402,4 @@ def ps_census(bound):
 def census_rows(bound):
     """One classification row per valid triple, sorted; the row schema
     is shared by the JSON-lines and CSV census outputs."""
-    yield from _census(bound)
+    yield from _rows(_census(bound))

@@ -18,7 +18,7 @@ import os
 import sys
 
 from .braids import BraidWord, TTKParams, braid_for
-from .classify import CensusReport, _census
+from .classify import CensusReport, _census, _rows
 from .errors import DomainError, TTKError
 from .horadam import (HoradamSpec, check_slope_relations,
                       embed_in_unit_sequence, euclid_trace, horadam_term,
@@ -200,22 +200,37 @@ def _json_list(value):
     return json.dumps(value, sort_keys=True) if value else "[]"
 
 
-def _census_json(row):
-    """json.dumps(row, sort_keys=True) for a census row, written with its
-    nine keys in sorted order; only a non-empty list goes to json.dumps."""
-    beta = row["ps_beta"]
-    return (f'{{"flags": {_json_list(row["flags"])}, "p": {row["p"]}, '
-            f'"pp": {"true" if row["pp"] else "false"}, '
-            f'"pp_families": {_json_list(row["pp_families"])}, '
-            f'"ps": {"true" if row["ps"] else "false"}, '
+def _json_prefix(p, q, pp, ps, beta, pp_matches=(), ps_matches=(), flags=()):
+    """json.dumps(row, sort_keys=True) for a census row, up to the value
+    of its last key, "r"; only a non-empty list goes to json.dumps."""
+    pp_families = [m.to_json_dict() for m in pp_matches]
+    ps_families = [m.to_json_dict() for m in ps_matches]
+    return (f'{{"flags": {_json_list(flags)}, "p": {p}, '
+            f'"pp": {"true" if pp else "false"}, '
+            f'"pp_families": {_json_list(pp_families)}, '
+            f'"ps": {"true" if ps else "false"}, '
             f'"ps_beta": {"null" if beta is None else beta}, '
-            f'"ps_families": {_json_list(row["ps_families"])}, '
-            f'"q": {row["q"]}, "r": {row["r"]}}}')
+            f'"ps_families": {_json_list(ps_families)}, "q": {q}, "r": ')
+
+
+def _write_json(fh, pairs, bound):
+    """JSON lines from the census columns, one write per pair: a row
+    without families is its (pp, ps, ps_beta) prefix, formatted once per
+    pair, and its r."""
+    r_tail = [f"{r}}}\n" for r in range(2, 2 * bound)]
+    for p, q, pp, ps, beta, special in pairs:
+        keys = list(zip(pp, ps, beta))
+        prefix = {k: _json_prefix(p, q, *k) for k in set(keys)}
+        lines = [prefix[k] + tail for k, tail in zip(keys, r_tail)]
+        for r, families in special.items():
+            i = r - 2
+            lines[i] = _json_prefix(p, q, pp[i], ps[i], beta[i], *families) + r_tail[i]
+        fh.write("".join(lines))
 
 
 def _cmd_census(args):
     report = CensusReport(args.kind, args.bound, [], [], [])
-    rows = _census(args.bound, report)
+    pairs = _census(args.bound, report)
     try:
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
@@ -223,12 +238,11 @@ def _cmd_census(args):
         return 2
     with out as fh:
         if args.format == "json":
-            for row in rows:
-                fh.write(_census_json(row) + "\n")
+            _write_json(fh, pairs, args.bound)
         else:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_COLUMNS)
-            for row in rows:
+            for row in _rows(pairs):
                 writer.writerow([_json_list(row[c]) if isinstance(row[c], list)
                                  else row[c] for c in _CSV_COLUMNS])
     print(report.summary(), file=sys.stdout if args.out else sys.stderr)

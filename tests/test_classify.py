@@ -54,6 +54,13 @@ def test_pp_census_bounds():
     assert rep.summary() == "pp: 0 missing, 0 extra"
 
 
+def test_census_rows_floor_is_the_ps_families():
+    # the pp report answers below 5; the rows carry the ps families
+    assert pp_census(4).ok
+    with pytest.raises(DomainError, match="census rows carry the ps families"):
+        next(census_rows(4))
+
+
 def test_census_contains_proof_triples():
     fams = pp_families(60)
     assert Triple(4, 3, 5) in fams

@@ -9,7 +9,7 @@ import pytest
 import ttklib
 from ttklib import cli
 from ttklib.classify import census_rows
-from ttklib.cli import _census_json, _decimal_digits, main
+from ttklib.cli import _decimal_digits, main
 from ttklib.horadam import SlopeValue
 
 
@@ -196,12 +196,45 @@ def test_census_ps_csv_out(capsys, tmp_path):
     assert len(lines) > 100
 
 
-def test_census_json_row_equals_json_dumps():
-    count = 0
-    for row in census_rows(40):
-        assert _census_json(row) == json.dumps(row, sort_keys=True), row
-        count += 1
-    assert count == 18357
+def test_census_json_row_equals_json_dumps(capsys, tmp_path):
+    # every line the column writer emits is json.dumps of census_rows' row
+    rows = list(census_rows(40))
+    assert len(rows) == 18357
+    for kind in ("pp", "ps"):
+        path = tmp_path / f"{kind}.jsonl"
+        code, _, _ = run(capsys, "census", kind, "--bound", "40", "--out", str(path))
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert line == json.dumps(row, sort_keys=True), (kind, row)
+    # the rows with families and flags take the writer's other branch
+    assert any(row["pp_families"] for row in rows)
+    assert any(row["ps_families"] and not row["flags"] for row in rows)
+    assert any(row["flags"] for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "pp", "--bound", "2"],
+    ["census", "ps", "--bound", "2", "--format", "csv"],
+])
+def test_census_bad_bound_refused_before_out_is_opened(capsys, tmp_path, argv):
+    path = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: bound must be >= ") and "Traceback" not in err
+    assert not path.exists()
+    path.write_bytes(b"kept\n")
+    assert run(capsys, *argv, "--out", str(path))[0] == 1
+    assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("bound", ["3", "4"])
+def test_census_floor_names_the_ps_families(capsys, bound):
+    code, out, err = run(capsys, "census", "pp", "--bound", bound)
+    assert code == 1 and out == ""
+    assert err == ("error: bound must be >= 5, since census rows carry "
+                   "the ps families\n")
 
 
 def test_census_out_unwritable_exit_2(capsys, tmp_path):
