@@ -6,7 +6,9 @@ bounded strand count) and the Kauffman state sum over 2^c smoothings,
 walked depth first on an undoable union-find (small-scale oracle); both
 end in one Horner sum over loop counts.  Alexander comes from
 the reduced Burau representation; its determinant is computed exactly
-by sparse fraction-free Bareiss elimination, its one route.  Modular
+by sparse fraction-free Bareiss elimination, its one route, which
+makes each unit pivot +-t^a into 1 so that the many unit steps of
+Burau matrices neither multiply by the pivot nor divide.  Modular
 evaluation/interpolation with CRT reconstruction checks it as an
 independent oracle in the tests.  Closed forms for torus knots provide
 the reference values for torus-detection cross-checks.
@@ -405,12 +407,21 @@ def det_laurent(rows):
     Step k pivots on the row whose column-k entry has the fewest terms
     (then the shortest row); any choice is sound, since it is Bareiss on
     a row-permuted matrix, and on sparse Burau matrices it keeps the
-    fill-in small.  A product with a zero entry is skipped, and every
-    division by the previous pivot is checked exact.
+    fill-in small.  A unit pivot u = +-t^a is made 1: the pivot row is
+    divided by u and u goes into the result's sign and shift.  Each
+    entry at step k is a minor linear in its original row, so this is
+    Bareiss on that row scaled by 1/u from the start, and the
+    determinant is u times the scaled one.  Under a pivot of 1 the
+    update is x - a*y, and after one there is no division; a row with
+    no entry in the pivot column is left as it is when the pivot equals
+    the previous one.  A non-unit pivot takes the plain Bareiss step.
+    A product with a zero entry is skipped, and every division by a
+    previous pivot other than 1 is checked exact.
     """
     d = len(rows)
     mat = [{j: e.terms for j, e in enumerate(row) if not e.is_zero} for row in rows]
-    sign, prev = 1, {0: 1}
+    one = {0: 1}
+    sign, shift, prev = 1, 0, one
     for k in range(d):
         live = [i for i in range(k, d) if k in mat[i]]
         if not live:
@@ -421,6 +432,14 @@ def det_laurent(rows):
             sign = -sign
         prow = mat[k]
         piv = prow.pop(k)
+        if len(piv) == 1:
+            (s, u), = piv.items()
+            if u in (1, -1):
+                if s or u < 0:
+                    sign *= u
+                    shift += s
+                    prow = {j: {e - s: u * c for e, c in y.items()} for j, y in prow.items()}
+                piv = one
         for i in range(k + 1, d):
             row = mat[i]
             a = row.pop(k, None)
@@ -429,14 +448,17 @@ def det_laurent(rows):
             new = {}
             for j in row.keys() | prow.keys() if a else row:
                 x, y = row.get(j), prow.get(j)
-                num = mul_terms(piv, x) if x else {}
                 if a and y:
-                    _axpy(num, mul_terms(a, y), 0, -1)
+                    num = (dict(x) if piv is one else mul_terms(piv, x)) if x else {}
+                    for e, c in a.items():
+                        _axpy(num, y, e, -c)
+                else:
+                    num = x if piv is one else mul_terms(piv, x)
                 if num:
-                    new[j] = divide_terms(num, prev)
+                    new[j] = num if prev is one else divide_terms(num, prev)
             mat[i] = new
         prev = piv
-    return Laurent(prev, var="t") * sign
+    return Laurent({e + shift: sign * c for e, c in prev.items()}, var="t")
 
 
 def _normalize_alexander(poly, strands):

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 from math import gcd
 
 import numpy as np
@@ -788,6 +790,53 @@ def test_det_singular_matrix():
     rows = [[one, one], [one, one]]
     assert det_laurent(rows) == 0
     assert _det_modular(rows) == 0
+
+
+def _det_with_pivot_kinds(rows):
+    """det_laurent(rows), and whether each pivot it eliminated on was a
+    unit (made 1), in step order, read off its frame by a line tracer at
+    the ``prev = piv`` that ends each step."""
+    lines, first = inspect.getsourcelines(det_laurent)
+    at = first + [ln.strip() for ln in lines].index("prev = piv")
+    kinds = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not det_laurent.__code__:
+            return None
+        if event == "line" and frame.f_lineno == at:
+            kinds.append(frame.f_locals["piv"] == {0: 1})
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        det = det_laurent(rows)
+    finally:
+        sys.settrace(old)
+    return det, kinds
+
+
+def test_det_unit_and_nonunit_pivots_equal_modular():
+    L = Laurent.parse
+    units = [Laurent({a: s}) for a in range(-2, 3) for s in (1, -1)]
+    others = [L("2"), L("1 + t"), L("3t - 1"), L("t^-1 - 2t^2")]
+    rng = random.Random(1968)
+    seen = set()
+    for _ in range(150):
+        d = rng.randint(1, 6)
+        rows = [[rng.choice([Laurent.zero(), rng.choice(units), rng.choice(others)])
+                 for _ in range(d)] for _ in range(d)]
+        det, kinds = _det_with_pivot_kinds([row[:] for row in rows])
+        assert det == _det_modular(rows), rows
+        seen.update(zip(kinds, kinds[1:]))
+    # prev goes from a non-unit to 1 and from 1 to a non-unit
+    assert {(False, True), (True, False)} <= seen
+    # a singular one: the last row is t^-1 times the first plus the second
+    rows = [[L("2"), L("t"), L("1 + t")], [L("-t^2"), L("3t - 1"), L("t^-1 - 2t^2")]]
+    rows.append([x.shifted(-1) + y for x, y in zip(*rows)])
+    det, kinds = _det_with_pivot_kinds(rows)
+    assert det == 0 and _det_modular(rows) == 0
+    assert len(kinds) == 2
 
 
 def test_det_modular_many_primes():

@@ -1,7 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from ttklib.laurent import Laurent
+from ttklib.laurent import Laurent, divide_terms, mul_terms
 
 
 def L(d, var="t"):
@@ -126,3 +129,88 @@ def test_division_inverts_multiplication(d1, d2):
     if b.is_zero:
         return
     assert (a * b).divide_exact(b) == a
+
+
+# -- fast paths against the general loops ------------------------------------
+# The general product loop and the lowest-term division loop that rescans
+# min(rem) per quotient term, kept here as oracles for the fast paths.
+
+def _mul_loop(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _divide_loop(num, den):
+    dlo = min(den)
+    top = max(num, default=0) - max(den)
+    rem, quot = dict(num), {}
+    while rem:
+        e = min(rem) - dlo
+        if e > top:
+            raise ValueError("remainder")
+        c, r = divmod(rem[e + dlo], den[dlo])
+        if r:
+            raise ValueError("coefficient")
+        quot[e] = c
+        for de, dc in den.items():
+            v = rem.get(e + de, 0) - c * dc
+            if v:
+                rem[e + de] = v
+            else:
+                rem.pop(e + de, None)
+    return quot
+
+
+def _random_terms(rng, size, lo=-6, hi=6, bound=40):
+    d = {}
+    while len(d) < size:
+        d[rng.randint(lo, hi)] = rng.choice([-1, 1]) * rng.randint(1, bound)
+    return d
+
+
+def test_evaluate_at_plus_minus_one_matches_fraction_route():
+    rng = random.Random(1968)
+    for _ in range(200):
+        p = L(_random_terms(rng, rng.randint(0, 8), -9, 9, 1 << 70))
+        for x in (1, -1, Fraction(1), Fraction(-1)):
+            want = sum((c * Fraction(x) ** e for e, c in p.terms.items()), Fraction(0))
+            got = p.evaluate(x)
+            assert type(got) is int and got == want, (p, x)
+
+
+def test_mul_terms_one_term_fast_path_equals_general_loop():
+    rng = random.Random(7)
+    for _ in range(200):
+        mono = _random_terms(rng, 1)
+        other = _random_terms(rng, rng.randint(0, 6))
+        assert mul_terms(mono, other) == _mul_loop(mono, other)
+        assert mul_terms(other, mono) == _mul_loop(other, mono)
+
+
+def test_divide_terms_equals_general_loop():
+    rng = random.Random(8)
+    for _ in range(300):
+        den = _random_terms(rng, rng.choice([1, 1, 2, 3, 4]), bound=3)
+        exact = _mul_loop(_random_terms(rng, rng.randint(0, 6)), den)
+        assert divide_terms(exact, den) == _divide_loop(exact, den)
+        num = _random_terms(rng, rng.randint(1, 6))
+        try:
+            want = _divide_loop(num, den)
+        except ValueError:
+            with pytest.raises(ValueError):
+                divide_terms(num, den)
+        else:
+            assert divide_terms(num, den) == want
+
+
+def test_divide_terms_error_kinds():
+    with pytest.raises(ValueError, match="coefficient"):
+        divide_terms({1: 3, 0: 1}, {3: 2})
+    with pytest.raises(ValueError, match="remainder"):
+        divide_terms({1: 1, 0: 1}, {1: 1, 0: 2})
+    with pytest.raises(ValueError, match="coefficient"):
+        # (2t + 1) / (2 + 4t) is 1/2 over the rationals
+        divide_terms({1: 2, 0: 1}, {0: 2, 1: 4})
