@@ -23,10 +23,6 @@ def mul_terms(a, b):
     """Product of two exponent->coefficient dicts, without zero terms."""
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        # a monomial times zero-free terms has no zero terms
-        (s, m), = a.items()
-        return {e + s: m * c for e, c in b.items()}
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -37,47 +33,32 @@ def mul_terms(a, b):
 
 def divide_terms(num, den):
     """Exact quotient num / den of two exponent->coefficient dicts in
-    Z[x, 1/x].  Raises ValueError: "remainder" when den does not divide
-    num even over the rationals, "coefficient" when it does but the
-    quotient has a non-integer coefficient.
+    Z[x, 1/x]; raises ValueError on a non-integer coefficient or a
+    remainder.
 
-    A monomial divisor takes one divmod per coefficient.  Otherwise the
-    quotient's exponents are walked upward from the lowest, cancelling
-    the lowest remaining term of num at each (units divide freely), so
-    the cost is the quotient's exponent span times the divisor's terms;
-    a term left past the top exponent is a remainder.  After an inexact
-    coefficient the walk goes on in Fractions only to tell the two
-    errors apart.
+    The quotient's exponents are walked upward from the lowest,
+    cancelling the lowest remaining term of num at each (units divide
+    freely), so the cost is the quotient's exponent span times the
+    divisor's terms; a term left past the top exponent is a remainder.
     """
-    if len(den) == 1:
-        (s, m), = den.items()
-        quot = {}
-        for e, c in num.items():
-            q, r = divmod(c, m)
-            if r:
-                raise ValueError("inexact polynomial division (coefficient)")
-            quot[e - s] = q
-        return quot
     if not num:
         return {}
     dlo = min(den)
     lead = den[dlo]
     rest = [(de - dlo, dc) for de, dc in den.items() if de != dlo]
-    rem, quot, exact = dict(num), {}, True
+    rem, quot = dict(num), {}
     for k in range(min(num), max(num) - max(den) + dlo + 1):
         v = rem.pop(k, 0)
         if not v:
             continue
         c, r = divmod(v, lead)
         if r:
-            c, exact = Fraction(v, lead), False
+            raise ValueError("inexact polynomial division (coefficient)")
         quot[k - dlo] = c
         for de, dc in rest:
             rem[k + de] = rem.get(k + de, 0) - c * dc
     if any(rem.values()):
         raise ValueError("inexact polynomial division (remainder)")
-    if not exact:
-        raise ValueError("inexact polynomial division (coefficient)")
     return quot
 
 

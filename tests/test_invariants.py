@@ -1,8 +1,6 @@
-import inspect
 import itertools
 import math
 import random
-import sys
 from math import gcd
 
 import numpy as np
@@ -792,51 +790,35 @@ def test_det_singular_matrix():
     assert _det_modular(rows) == 0
 
 
-def _det_with_pivot_kinds(rows):
-    """det_laurent(rows), and whether each pivot it eliminated on was a
-    unit (made 1), in step order, read off its frame by a line tracer at
-    the ``prev = piv`` that ends each step."""
-    lines, first = inspect.getsourcelines(det_laurent)
-    at = first + [ln.strip() for ln in lines].index("prev = piv")
-    kinds = []
-
-    def trace(frame, event, arg):
-        if frame.f_code is not det_laurent.__code__:
-            return None
-        if event == "line" and frame.f_lineno == at:
-            kinds.append(frame.f_locals["piv"] == {0: 1})
-        return trace
-
-    old = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        det = det_laurent(rows)
-    finally:
-        sys.settrace(old)
-    return det, kinds
-
-
 def test_det_unit_and_nonunit_pivots_equal_modular():
     L = Laurent.parse
     units = [Laurent({a: s}) for a in range(-2, 3) for s in (1, -1)]
     others = [L("2"), L("1 + t"), L("3t - 1"), L("t^-1 - 2t^2")]
     rng = random.Random(1968)
-    seen = set()
     for _ in range(150):
         d = rng.randint(1, 6)
         rows = [[rng.choice([Laurent.zero(), rng.choice(units), rng.choice(others)])
                  for _ in range(d)] for _ in range(d)]
-        det, kinds = _det_with_pivot_kinds([row[:] for row in rows])
-        assert det == _det_modular(rows), rows
-        seen.update(zip(kinds, kinds[1:]))
-    # prev goes from a non-unit to 1 and from 1 to a non-unit
-    assert {(False, True), (True, False)} <= seen
+        assert det_laurent([row[:] for row in rows]) == _det_modular(rows), rows
+    # pivots 2, 1, t^2: the fewest-terms rule takes row k at each step
+    # (column 0 holds 2, 1 + 2t, 1 + t; after step 0 column 1 holds 1
+    # and t - 1), and step 1 pivots on 1 with a division by 2
+    rows = [[L("2"), L("1"), L("1")],
+            [L("1 + 2t"), L("1 + t"), L("0")],
+            [L("1 + t"), L("t"), L("1 + t")]]
+    assert det_laurent([row[:] for row in rows]) == _det_modular(rows) == L("t^2")
+    # pivots t (made 1), 2, 1 + t^-1, 1 + t^-1: after step 0 column 1
+    # holds 2 and 1 - t^-1, and step 1 pivots on 2 with no division,
+    # over a column the pivot row has and one it lacks
+    rows = [[L("t"), L("1"), L("0"), L("0")],
+            [L("0"), L("2"), L("1"), L("0")],
+            [L("1 + t"), L("2"), L("1"), L("1")],
+            [L("0"), L("0"), L("0"), L("1")]]
+    assert det_laurent([row[:] for row in rows]) == _det_modular(rows) == L("1 + t")
     # a singular one: the last row is t^-1 times the first plus the second
     rows = [[L("2"), L("t"), L("1 + t")], [L("-t^2"), L("3t - 1"), L("t^-1 - 2t^2")]]
     rows.append([x.shifted(-1) + y for x, y in zip(*rows)])
-    det, kinds = _det_with_pivot_kinds(rows)
-    assert det == 0 and _det_modular(rows) == 0
-    assert len(kinds) == 2
+    assert det_laurent([row[:] for row in rows]) == 0 == _det_modular(rows)
 
 
 def test_det_modular_many_primes():
