@@ -18,7 +18,7 @@ for n in range(1, 7):
     try:
         v = str(jones(word))
     except BudgetError as exc:
-        v = f"skipped ({exc.kind} budget)"
+        v = f"skipped ({exc.kind} budget: {exc.count})"
     print(f"{params.label():>18}  strands={word.strands:>2} "
           f"crossings={word.crossing_count:>3}  alexander={delta}  jones={v}")
 

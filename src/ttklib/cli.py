@@ -3,8 +3,8 @@
 Exit codes: 0 on success / consistent verification, 1 on domain errors,
 exceeded budgets, a result too long to print, or an inconsistent
 verification, 2 on usage errors.
-The environment variable TTK_BUDGET overrides the default crossing
-budget; an explicit --budget flag wins over the environment.
+--tl-ops is the one work limit: the Temperley-Lieb operation budget of
+a Jones computation.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .errors import DomainError, TTKError
 from .horadam import (HoradamSpec, check_slope_relations,
                       embed_in_unit_sequence, euclid_trace, horadam_term,
                       is_maximal_pair, slope_values)
-from .invariants import (DEFAULT_CROSSING_BUDGET, DEFAULT_STRAND_LIMIT,
-                         DEFAULT_TL_OPS, invariant_report, torus_alexander,
+from .invariants import (DEFAULT_TL_OPS, invariant_report, torus_alexander,
                          torus_jones)
 from .knots import Limits, verify_lemma
 
@@ -37,12 +36,6 @@ def _build_parser():
         prog="ttk",
         description="Twisted torus knot braids, invariants, censuses, "
                     "and lemma verification.")
-    ap.add_argument("--budget", type=int, default=None,
-                    help="crossing budget for the state-sum oracle "
-                         f"(default {DEFAULT_CROSSING_BUDGET}; "
-                         "TTK_BUDGET overrides the default)")
-    ap.add_argument("--strand-limit", type=int, default=DEFAULT_STRAND_LIMIT,
-                    help="strand limit for the Temperley-Lieb Jones path")
     ap.add_argument("--tl-ops", type=int, default=DEFAULT_TL_OPS,
                     help="diagram-operation budget for the Temperley-Lieb path")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -177,10 +170,7 @@ def _cmd_invariant(args, limits):
             print("error: need -p -q -r -n, --word, or --torus", file=sys.stderr)
             return 2
         word = braid_for(TTKParams(p=args.p, q=args.q, r=args.r, twist_n=args.twist))
-    rep = invariant_report(word, want_jones=args.jones,
-                           crossing_budget=limits.crossing_budget,
-                           strand_limit=limits.strand_limit,
-                           tl_ops=limits.tl_ops)
+    rep = invariant_report(word, want_jones=args.jones, tl_ops=limits.tl_ops)
     if args.format == "json":
         print(json.dumps(rep.to_json_dict(), sort_keys=True))
     else:
@@ -278,22 +268,11 @@ def _cmd_verify(args, limits):
     return 0 if rep.verdict == "consistent" else 1
 
 
-def _env_budget():
-    """The crossing budget from TTK_BUDGET, or the default when unset."""
-    env = os.environ.get("TTK_BUDGET")
-    try:
-        return int(env) if env else DEFAULT_CROSSING_BUDGET
-    except ValueError:
-        raise DomainError(f"TTK_BUDGET must be an integer, got {env!r}") from None
-
-
 def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        budget = _env_budget() if args.budget is None else args.budget
-        limits = Limits(crossing_budget=budget, strand_limit=args.strand_limit,
-                        tl_ops=args.tl_ops)
+        limits = Limits(tl_ops=args.tl_ops)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

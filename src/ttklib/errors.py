@@ -17,8 +17,9 @@ class NotAKnotError(DomainError):
 class BudgetError(TTKError):
     """A computation exceeded a configured work limit.
 
-    ``kind`` names the limit ("crossings", "strands", or "tl-ops") and
-    ``count`` records the offending size.
+    ``kind`` names the limit ("tl-ops" for the Temperley-Lieb transfer,
+    "crossings" for the state-sum oracle) and ``count`` records the
+    offending size.
     """
 
     def __init__(self, message, kind, count):

@@ -1,10 +1,10 @@
 """Knot invariants of braid closures.
 
-Jones comes in two independent routes: a Temperley-Lieb transfer on
-packed-integer coefficients (the main path, polynomial in crossings for
-bounded strand count) and the Kauffman state sum over 2^c smoothings,
-walked depth first on an undoable union-find (small-scale oracle); both
-end in one Horner sum over loop counts.  Alexander comes from
+Jones has one route: the closure is cut into connected and split
+summands, each through a Temperley-Lieb transfer on packed-integer
+coefficients.  The unsplit transfer and the Kauffman state sum over 2^c
+smoothings, walked depth first on an undoable union-find, are its
+oracles; all end in one Horner sum over loop counts.  Alexander comes from
 the reduced Burau representation; its determinant is computed exactly
 by sparse fraction-free Bareiss elimination, its one route, which
 makes each unit pivot +-t^a into 1 so that the many unit steps of
@@ -17,15 +17,16 @@ the reference values for torus-detection cross-checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from .braids import BraidWord
 from .errors import BudgetError, DomainError, NotAKnotError
 from .laurent import Laurent, divide_terms, mul_terms
 
 DEFAULT_CROSSING_BUDGET = 22
-DEFAULT_STRAND_LIMIT = 14
 DEFAULT_TL_OPS = 4_000_000
 
 # ----------------------------------------------------------------------
@@ -201,7 +202,7 @@ def _catalan(n):
 def tl_predicted_ops(strands, crossings):
     """Upper bound on diagram operations for the transfer: the basis
     support at most doubles per crossing and is capped by the Catalan
-    number."""
+    number.  A transfer that passes ``_check_tl_ops`` stays within it."""
     cap = _catalan(strands)
     total, cur = 0, 1
     for _ in range(crossings):
@@ -210,14 +211,10 @@ def tl_predicted_ops(strands, crossings):
     return total
 
 
-def _check_tl_limits(word, strand_limit, ops_budget):
-    """Refuse a transfer before any work, on strands or predicted ops."""
-    n = word.strands
-    if n > strand_limit:
-        raise BudgetError(
-            f"{n} strands exceeds the Temperley-Lieb strand limit {strand_limit}",
-            kind="strands", count=n)
-    predicted = tl_predicted_ops(n, word.crossing_count)
+def _check_tl_ops(words, ops_budget):
+    """Refuse the transfers of ``words`` before any work, when their
+    predicted diagram operations add up to more than ``ops_budget``."""
+    predicted = sum(tl_predicted_ops(w.strands, w.crossing_count) for w in words)
     if predicted > ops_budget:
         raise BudgetError(
             f"Temperley-Lieb transfer needs an estimated {predicted} diagram "
@@ -245,7 +242,7 @@ def _unpack(value, k):
 _TL_RENORM_STEPS = 4
 
 
-def tl_bracket(word, strand_limit=DEFAULT_STRAND_LIMIT, ops_budget=DEFAULT_TL_OPS):
+def tl_bracket(word, ops_budget=DEFAULT_TL_OPS):
     """Bracket polynomial via the Temperley-Lieb transfer: push the word
     through the diagram basis one crossing at a time.
 
@@ -269,20 +266,15 @@ def tl_bracket(word, strand_limit=DEFAULT_STRAND_LIMIT, ops_budget=DEFAULT_TL_OP
     down by the zero slots they share, an exact division.  The values
     are summed per closure loop count and decoded once, at the end.
     """
-    _check_tl_limits(word, strand_limit, ops_budget)
+    _check_tl_ops((word,), ops_budget)
     n = word.strands
     k = word.crossing_count + 2
     diags = [_identity_diagram(n)]
     ids = {diags[0]: 0}
     moves = [[None] for _ in range(n - 1)]
     vec = {0: 1}
-    off = ops = 0
+    off = 0
     for step, letter in enumerate(word.letters, 1):
-        ops += len(vec)
-        if ops > ops_budget:
-            raise BudgetError(
-                f"Temperley-Lieb transfer exceeded {ops_budget} diagram "
-                f"operations", kind="tl-ops", count=ops)
         i = abs(letter) - 1
         move = moves[i]
         if letter > 0:
@@ -335,23 +327,65 @@ def _bracket_to_jones(bracket, writhe):
     raise AssertionError("bracket exponents of mixed parity")
 
 
-def jones(word, method="auto", crossing_budget=DEFAULT_CROSSING_BUDGET,
-          strand_limit=DEFAULT_STRAND_LIMIT, tl_ops=DEFAULT_TL_OPS):
+def split_closure(word):
+    """The closure of ``word`` cut into pieces, as (sign, shift, loops,
+    pieces): its bracket is sign * A^shift * delta^(loops-1) times the
+    pieces' brackets.  A piece is freely reduced as a cyclic word, which
+    keeps its bracket and writhe.  If sigma_i then occurs once, as
+    sigma_i^e, the closure is the connected sum of the closures on
+    strands 1..i and i+1..n, and smoothing that crossing gives
+    A^e * delta + A^-e = (-A)^(3e) times their brackets; if never, their
+    split union, a factor delta.  Both sides are cut again, so in a piece
+    every generator occurs at least twice and c crossings span at most
+    c/2 + 1 strands.  Pieces of one strand, unknots, are dropped.
+    """
+    sign, shift, loops, pieces = 1, 0, 1, []
+    todo = [(word.strands, word.letters)]
+    while todo:
+        n, letters = todo.pop()
+        reduced = []
+        for x in letters:
+            if reduced and reduced[-1] == -x:
+                reduced.pop()
+            else:
+                reduced.append(x)
+        lo = 0
+        while 2 * lo + 1 < len(reduced) and reduced[lo] == -reduced[-1 - lo]:
+            lo += 1
+        letters = reduced[lo:len(reduced) - lo]
+        counts = Counter(map(abs, letters))
+        cut = next((i for i in range(1, n) if counts[i] < 2), 0)
+        if not cut:
+            if n > 1:
+                pieces.append(BraidWord(n, letters))
+            continue
+        if counts[cut]:
+            sign = -sign
+            shift += 3 if cut in letters else -3
+        else:
+            loops += 1
+        todo.append((cut, [x for x in letters if abs(x) < cut]))
+        todo.append((n - cut, [x - cut if x > 0 else x + cut
+                               for x in letters if abs(x) > cut]))
+    return sign, shift, loops, pieces
+
+
+def jones(word, method="tl", tl_ops=DEFAULT_TL_OPS):
     """Jones polynomial of the closure.
 
-    method "tl" forces the Temperley-Lieb transfer, "kauffman" the
-    state-sum oracle; "auto" tries the transfer first and falls back to
-    the state sum when a work limit trips.
+    method "tl" cuts the closure by ``split_closure`` and runs the
+    Temperley-Lieb transfer on each piece, refused before any work when
+    the pieces' predicted operations add up to more than ``tl_ops``;
+    "kauffman" is the unsplit state-sum oracle.
     """
     if method == "tl":
-        bracket = tl_bracket(word, strand_limit, tl_ops)
+        sign, shift, loops, pieces = split_closure(word)
+        _check_tl_ops(pieces, tl_ops)
+        bracket = _closure_sum([(loops, {shift: sign})])
+        for piece in pieces:
+            bracket = bracket * tl_bracket(piece, tl_ops)
     elif method == "kauffman":
-        bracket = kauffman_bracket(word, crossing_budget)
-    elif method == "auto":
-        try:
-            bracket = tl_bracket(word, strand_limit, tl_ops)
-        except BudgetError:
-            bracket = kauffman_bracket(word, crossing_budget)
+        bracket = kauffman_bracket(word)
     else:
         raise DomainError(f"unknown jones method {method!r}")
     return _bracket_to_jones(bracket, word.writhe)
@@ -584,20 +618,17 @@ class InvariantReport:
         }
 
 
-def invariant_report(word, want_jones=True,
-                     crossing_budget=DEFAULT_CROSSING_BUDGET,
-                     strand_limit=DEFAULT_STRAND_LIMIT,
-                     tl_ops=DEFAULT_TL_OPS):
-    """Alexander, determinant, and (when within limits) Jones of a braid
-    closure.  A link has no Alexander polynomial or determinant here
-    (both None), so it is refused without ``want_jones``
-    (NotAKnotError) and when Jones exceeds a limit (BudgetError)."""
+def invariant_report(word, want_jones=True, tl_ops=DEFAULT_TL_OPS):
+    """Alexander, determinant, and (when within ``tl_ops``) Jones of a
+    braid closure.  A link has no Alexander polynomial or determinant
+    here (both None), so it is refused without ``want_jones``
+    (NotAKnotError) and when Jones exceeds the budget (BudgetError)."""
     delta = None if want_jones and not word.is_knot() else alexander(word)
     v = None
     status = "not requested"
     if want_jones:
         try:
-            v = jones(word, "auto", crossing_budget, strand_limit, tl_ops)
+            v = jones(word, "tl", tl_ops)
             status = "ok"
         except BudgetError as exc:
             if delta is None:  # a link: nothing else would be answered
@@ -606,5 +637,3 @@ def invariant_report(word, want_jones=True,
     return InvariantReport(v, status, delta,
                            None if delta is None else knot_determinant(delta),
                            word.crossing_count, word.strands)
-
-

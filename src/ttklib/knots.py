@@ -18,9 +18,8 @@ from math import gcd
 from .braids import TTKParams, braid_for
 from .errors import BudgetError, DomainError
 from .horadam import HoradamSpec, fibonacci, is_maximal_pair
-from .invariants import (DEFAULT_CROSSING_BUDGET, DEFAULT_STRAND_LIMIT,
-                         DEFAULT_TL_OPS, _check_tl_limits, alexander, jones,
-                         torus_alexander)
+from .invariants import (DEFAULT_TL_OPS, _check_tl_ops, alexander, jones,
+                         split_closure, torus_alexander)
 
 # type index -> (p, q, r, sign) as offsets into the Horadam sequence
 _TYPE_TABLE = {
@@ -189,13 +188,11 @@ def type1_reduce(seed_m, seed_n, k):
 
 @dataclass(frozen=True)
 class Limits:
-    crossing_budget: int = DEFAULT_CROSSING_BUDGET
-    strand_limit: int = DEFAULT_STRAND_LIMIT
     tl_ops: int = DEFAULT_TL_OPS
 
     def __post_init__(self):
-        if self.crossing_budget < 1 or self.strand_limit < 1 or self.tl_ops < 1:
-            raise DomainError("budgets and limits must be >= 1")
+        if self.tl_ops < 1:
+            raise DomainError("tl_ops must be >= 1")
 
 
 @dataclass
@@ -219,19 +216,18 @@ def _once(memo, fn, word, *args):
 
 
 def _compare_pair(word_a, word_b, relation, limits, memo):
-    """Compare Alexander (always) and Jones (only when both words pass the
-    Temperley-Lieb limits up front) of two braid closures under the
-    asserted relation "equal" or "mirror"."""
+    """Compare Alexander (always) and Jones (only when the pieces of both
+    words pass the Temperley-Lieb budget up front) of two braid closures
+    under the asserted relation "equal" or "mirror"."""
     alex_a, alex_b = _once(memo, alexander, word_a), _once(memo, alexander, word_b)
     inv = {"alexander": "equal" if alex_a == alex_b else "unequal", "jones": "skipped"}
     ok = alex_a == alex_b
     try:
         for w in (word_a, word_b):
-            _check_tl_limits(w, limits.strand_limit, limits.tl_ops)
+            _check_tl_ops(split_closure(w)[3], limits.tl_ops)
     except BudgetError:
         return inv, ok
-    va, vb = (_once(memo, jones, w, "tl", limits.crossing_budget,
-                    limits.strand_limit, limits.tl_ops) for w in (word_a, word_b))
+    va, vb = (_once(memo, jones, w, "tl", limits.tl_ops) for w in (word_a, word_b))
     if vb == (va if relation == "equal" else va.mirrored()):
         inv["jones"] = relation
     else:

@@ -223,14 +223,6 @@ class Laurent:
             return int(val)
         return val
 
-    def eval_mod(self, x, p):
-        """Evaluate at x modulo the prime p (x must be invertible when
-        negative exponents are present)."""
-        val = 0
-        for e, c in self.terms.items():
-            val = (val + c * pow(x, e, p)) % p
-        return val
-
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):

@@ -33,7 +33,7 @@ def test_criterion_1_unknot_family():
         if alexander(w) != 1:
             ok = False
         try:
-            v = jones(w, "auto")
+            v = jones(w)
             if v != 1:
                 ok = False
             jones_computed += 1

@@ -165,15 +165,16 @@ def test_invariant_link_jones(capsys):
     assert code == 1 and out == ""
     assert err == "error: closure has 2 components; the Alexander route needs a knot\n"
     # nor when its Jones polynomial is over the limits
-    code, out, err = run(capsys, "--budget", "1", "--tl-ops", "1",
+    code, out, err = run(capsys, "--tl-ops", "1",
                          "invariant", "--word", "B2: 1 1", "--jones")
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_invariant_budget_error(capsys):
-    code, _, err = run(capsys, "--budget", "4", "--tl-ops", "1",
+    code, out, _ = run(capsys, "--tl-ops", "1",
                        "invariant", "--word", "B2: 1 1 1", "--jones")
     assert code == 0  # jones skipped, not fatal
+    assert out.splitlines()[0] == "jones: skipped (tl-ops budget: 5)"
 
 
 def test_census_pp(capsys):
@@ -316,33 +317,25 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_invalid_budget_exit_2(capsys):
-    code, _, err = run(capsys, "--budget", "0", "invariant", "--word", "B2: 1")
+    code, _, err = run(capsys, "--tl-ops", "0", "invariant", "--word", "B2: 1")
     assert code == 2 and "must be >= 1" in err
+    # --tl-ops is the one work limit; --budget is not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "5", "invariant", "--word", "B2: 1 1 1", "--jones"])
+    assert exc.value.code == 2
 
 
-def test_env_budget_override(capsys, monkeypatch):
+def test_env_budget_is_ignored(capsys, monkeypatch):
+    # TTK_BUDGET is not read: Jones has one route and one budget, --tl-ops
     monkeypatch.setenv("TTK_BUDGET", "2")
-    # kauffman forced; budget 2 < 3 crossings and tl-ops tiny -> jones skipped
-    code, out, _ = run(capsys, "--tl-ops", "1", "--strand-limit", "1",
-                       "invariant", "--word", "B2: 1 1 1", "--jones")
-    assert code == 0
-    assert "skipped" in out.splitlines()[0]
-    # explicit flag wins over the environment
-    code, out, _ = run(capsys, "--budget", "22", "--tl-ops", "1",
-                       "--strand-limit", "1",
-                       "invariant", "--word", "B2: 1 1 1", "--jones")
+    code, out, _ = run(capsys, "invariant", "--word", "B2: 1 1 1", "--jones")
     assert code == 0
     assert out.splitlines()[0] == "jones: t + t^3 - t^4"
 
 
 def test_env_budget_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TTK_BUDGET", "abc")
-    code, out, err = run(capsys, "horadam", "term", "-m", "2", "-n", "7", "-k", "4")
-    assert code == 2 and out == ""
-    assert err == "error: TTK_BUDGET must be an integer, got 'abc'\n"
-    # an explicit flag means the environment is never read
-    code, out, _ = run(capsys, "--budget", "5", "horadam", "term",
-                       "-m", "2", "-n", "7", "-k", "4")
+    monkeypatch.setenv("TTK_BUDGET", "abc")  # not read
+    code, out, _ = run(capsys, "horadam", "term", "-m", "2", "-n", "7", "-k", "4")
     assert code == 0 and out == "25\n"
 
 

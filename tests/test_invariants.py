@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ttklib import invariants
 from ttklib.braids import BraidWord, TTKParams, braid_for, torus_braid
-from ttklib.errors import BudgetError, NotAKnotError
+from ttklib.errors import BudgetError, DomainError, NotAKnotError
 from ttklib.horadam import HoradamSpec, fibonacci
 from ttklib.invariants import (alexander, burau_matrix, det_laurent,
                                equal_up_to_mirror, invariant_report, jones,
@@ -151,7 +151,7 @@ def test_state_sum_many_arcs_equals_tl():
     w = BraidWord(12, tuple(range(1, 12)) + tuple(
         rng.choice((1, -1)) * rng.randint(1, 11) for _ in range(5)))
     assert w.crossing_count == 16
-    assert kauffman_bracket(w) == tl_bracket(w, strand_limit=w.strands)
+    assert kauffman_bracket(w) == tl_bracket(w)
 
 
 def test_closure_sum_equals_delta_powers():
@@ -235,15 +235,80 @@ def test_tl_budget_behaviour():
         tl_bracket(w, ops_budget=100_000)
     assert exc.value.kind == "tl-ops"
     with pytest.raises(BudgetError) as exc:
-        tl_bracket(BraidWord(15, (1,)), strand_limit=14)
-    assert exc.value.kind == "strands"
+        jones(w, tl_ops=100_000)
+    assert exc.value.kind == "tl-ops"
     assert tl_predicted_ops(2, 3) == 1 + 2 + 2
 
 
-def test_jones_auto_falls_back_to_state_sum():
-    # strand limit 2 forces the fallback for a 3-strand word
-    v = jones(FIGURE8, "auto", strand_limit=2)
-    assert v == jones(FIGURE8, "kauffman")
+def test_jones_auto_method_refused():
+    # one production route: the state sum is reached only by name
+    with pytest.raises(DomainError):
+        jones(FIGURE8, "auto")
+    assert jones(FIGURE8) == jones(FIGURE8, "kauffman")
+
+
+# -- Splitting the closure before the transfer ----------------------------
+
+@st.composite
+def splittable_words(draw):
+    """Words biased toward the cuts of split_closure: each generator
+    occurs never, once or a few times, and cancelling pairs may wrap
+    round the word.  Unused generators and even counts make links."""
+    n = draw(st.integers(2, 7))
+    letters = []
+    for i in range(1, n):
+        count = draw(st.sampled_from((0, 1, 1, 2, 3)))
+        letters += [draw(st.sampled_from((i, -i))) for _ in range(count)]
+    letters = draw(st.permutations(letters))
+    for x in draw(st.lists(st.integers(1, n - 1), max_size=2)):
+        x = draw(st.sampled_from((x, -x)))
+        letters = [x] + letters + [-x]
+    return BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=150, deadline=None)
+@given(splittable_words())
+def test_split_jones_equals_unsplit(word):
+    v = jones(word, "tl")
+    assert v == invariants._bracket_to_jones(tl_bracket(word), word.writhe)
+    if word.crossing_count <= 12:
+        assert v == jones(word, "kauffman")
+
+
+def test_split_closure_pieces():
+    # sigma_2 never occurs: trefoil and Hopf link, a split union
+    sign, shift, loops, pieces = invariants.split_closure(BraidWord(4, (1, 3, 1, 3, 1)))
+    assert (sign, shift, loops) == (1, 0, 2)
+    assert sorted(p.letters for p in pieces) == [(1, 1), (1, 1, 1)]
+    # a pair cancelling round the wrap; then sigma_2^-1 once, sigma_3 never
+    sign, shift, loops, pieces = invariants.split_closure(
+        BraidWord(4, (-3, 1, 1, -2, 1, 3)))
+    assert (sign, shift, loops) == (-1, -3, 2)
+    assert sorted(p.letters for p in pieces) == [(1, 1, 1)]
+    assert invariants.split_closure(BraidWord(3, (2, -2))) == (1, 0, 3, [])
+    # a pair cancelling inside the word, which leaves sigma_2 unused
+    sign, shift, loops, pieces = invariants.split_closure(BraidWord(3, (1, 2, -2, 1, 1)))
+    assert (sign, shift, loops) == (1, 0, 2)
+    assert [(p.strands, p.letters) for p in pieces] == [(2, (1, 1, 1))]
+
+
+# The reference words: each splits into one piece that the transfer
+# answers far within the budget that the unsplit word exceeds.
+B18 = BraidWord(18, tuple(range(1, 18)) + (1, 2, 3, 4))
+B14 = BraidWord(14, tuple(range(1, 14)) + tuple(range(1, 10)))
+
+
+@pytest.mark.parametrize("word, expected, predicted", [
+    (B18, torus_jones(2, 5), 147),  # (s1 s2 s3 s4)^2: T(5,2)
+    (B14, Laurent({9: -1, **{e: (-1) ** ((e - 11) // 2) for e in range(13, 30, 2)}},
+                  "t^1/2"), 83_155),  # (s1 ... s9)^2: the torus link T(10,2)
+], ids=["B18", "B14"])
+def test_reference_words_split(word, expected, predicted):
+    pieces = invariants.split_closure(word)[3]
+    assert len(pieces) == 1
+    assert sum(tl_predicted_ops(p.strands, p.crossing_count) for p in pieces) == predicted
+    assert predicted <= 100_000 < tl_predicted_ops(word.strands, word.crossing_count)
+    assert jones(word) == expected
 
 
 # -- Temperley-Lieb transfer against the dict transfer ---------------------
@@ -884,12 +949,12 @@ def test_invariant_report_on_a_link():
     with pytest.raises(NotAKnotError):
         invariant_report(hopf, want_jones=False)
     with pytest.raises(BudgetError):
-        invariant_report(hopf, tl_ops=1, crossing_budget=1)
+        invariant_report(hopf, tl_ops=1)
 
 
 def test_invariant_report_jones_skipped():
     w = braid_for(TTKParams(p=13, q=5, r=8, twist_n=-1))
-    rep = invariant_report(w, tl_ops=1000, crossing_budget=10)
+    rep = invariant_report(w, tl_ops=1000)
     assert rep.jones is None
     assert rep.jones_status.startswith("skipped")
     assert rep.alexander == 1

@@ -62,14 +62,6 @@ def test_evaluate():
     assert L({2: 3}).evaluate(2) == 12
 
 
-def test_eval_mod():
-    p = L({-1: 2, 3: 5})
-    prime = 1009
-    x = 17
-    expected = (2 * pow(x, prime - 2, prime) + 5 * pow(x, 3, prime)) % prime
-    assert p.eval_mod(x, prime) == expected
-
-
 def test_str_canonical_forms():
     t = Laurent.gen("t")
     assert str(t + t ** 3 - t ** 4) == "t + t^3 - t^4"
