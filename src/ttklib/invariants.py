@@ -1,10 +1,12 @@
 """Knot invariants of braid closures.
 
 Jones has one route: the closure is cut into connected and split
-summands, each through a Temperley-Lieb transfer on packed-integer
-coefficients.  The unsplit transfer and the Kauffman state sum over 2^c
-smoothings, walked depth first on an undoable union-find, are its
-oracles; all end in one Horner sum over loop counts.  Alexander comes from
+summands, each through a Temperley-Lieb transfer that, per crossing,
+writes one sum of sources per capped target diagram, on mostly negative
+letters (a mostly positive word runs as its mirror) and on coefficients
+packed as ints in A^4.  The unsplit transfer and the Kauffman state sum
+over 2^c smoothings, walked depth first on an undoable union-find, are
+its oracles; all end in one Horner sum over loop counts.  Alexander comes from
 the reduced Burau representation; its determinant is computed exactly
 by sparse fraction-free Bareiss elimination, its one route, which
 makes each unit pivot +-t^a into 1 so that the many unit steps of
@@ -236,9 +238,14 @@ def _unpack(value, k):
     return digits
 
 
-# Steps between the shifts that drop common low zero slots.  On
-# K(11,7,4,-1) (medians of 3 runs, 2-CPU x86-64, CPython 3.11) every 1, 2,
-# 4, 8 steps took 7.2, 6.2, 5.1, 5.5 s and 108, 108, 110, 122 MB.
+# Steps between the scans for common low zero slots to drop.  A scan is
+# skipped while the identity diagram's lowest slot is nonzero, which holds
+# throughout a word with no positive letter after the mirror choice, such
+# as the piece of K(9,2,7,+1) (9 strands, 58 crossings): no scan at any
+# interval.  On the piece of K(16,9,7,-1) (9 strands, 158 crossings, 36
+# positive after mirroring; medians of 15 runs, 2-CPU x86-64, CPython
+# 3.11) every 1, 2, 4, 8 steps took 0.61, 0.51, 0.48, 0.45 s in 36, 18,
+# 9, 4 scans, at a tracemalloc peak of 14.7, 15.1, 14.8, 15.2 MB.
 _TL_RENORM_STEPS = 4
 
 
@@ -246,73 +253,113 @@ def tl_bracket(word, ops_budget=DEFAULT_TL_OPS):
     """Bracket polynomial via the Temperley-Lieb transfer: push the word
     through the diagram basis one crossing at a time.
 
-    With A^writhe pulled out and u = A^2, the letter sigma_i^s acts as
-    1 + u^-s e_i.  A diagram with a cap at (i, i+1) meets e_i in a loop,
-    and its two terms sum to the scalar 1 + u^-s * delta = -u^-2s, so it
-    stays one term.  Diagrams are interned per call as int ids, with a
-    move table per generator, so ``_compose_e`` runs once per (diagram,
-    generator) pair.
+    When more than half of the letters are positive, the transfer runs
+    on the mirror word and maps A to A^-1 at the end, so that most
+    letters are negative.  With A^writhe pulled out and u = A^2,
+    sigma_i^-1 acts as 1 + u e_i, and sigma_i, scaled by u^2, as
+    u^2 + u e_i.  e_i sends a diagram without a cap at bottom (i, i+1)
+    to a diagram with that cap, and a diagram with the cap to delta
+    times itself.  So in a step each uncapped diagram keeps its value
+    (a negative letter leaves the same int object), and each capped
+    diagram gets u times the sum of its sources plus its own value
+    times 1 + u*delta = -u^2 (-1 for a scaled positive letter).  Per
+    call and per generator, the capped targets with their source ids
+    are built as new diagrams appear, so ``_compose_e`` runs once per
+    (diagram, generator) pair and a step reads no dict.
 
-    A diagram's coefficient u^off * P(u) is kept as the one int P(2^k)
-    (Kronecker substitution); a positive letter lowers ``off`` by 2, so
-    every product by a power of u is a left shift.  Slot width: a
-    diagram without the cap splits its coefficient into two terms of the
-    same L1 norm and one with the cap keeps it, so after c crossings the
-    L1 norms of all coefficients sum to at most 2^c.  Every coefficient
-    of a diagram, or of a sum of diagrams, is then at most 2^c < 2^(k-1)
-    in absolute value for k = c + 2.  So balanced base-2^k digits decode
-    it exactly, and a nonzero value's lowest nonzero slot is its
-    trailing-zero count // k: every few steps all values are shifted
-    down by the zero slots they share, an exact division.  The values
-    are summed per closure loop count and decoded once, at the end.
+    Coefficients are packed in u^2 = A^4.  An e-move is a saddle on the
+    closure, which changes its loop count by one, so a diagram D reached
+    from the identity by m loop-free e-moves has m = loops(D) - n
+    (mod 2): the parity of m is a function of D, as the isomorphism
+    e_i -> -e_i, delta -> -delta of TL_n(delta) onto TL_n(-delta) also
+    shows.  Each loop-free move brings a factor u and every other factor
+    is even in u, so D's coefficient has only u-powers of that parity:
+    it is u^(2*off + m mod 2) * P(u^2), kept as the one int P(2^k)
+    (Kronecker substitution).  A target of odd parity takes its sources'
+    sum as it is, one of even parity shifted one slot up; a scaled
+    positive letter lowers ``off`` by 1, so every product by a power of
+    u^2 is a left shift.
+
+    Slot width: a diagram without the cap splits its coefficient into
+    two terms of the same L1 norm and one with the cap keeps it, so
+    after c crossings the L1 norms of all coefficients sum to at most
+    2^c.  Every coefficient of a diagram, or of a sum of diagrams, is
+    then at most 2^c < 2^(k-1) in absolute value for k = c + 2.  So
+    balanced base-2^k digits decode it exactly, and a nonzero value's
+    lowest nonzero slot is its trailing-zero count // k.  Every few
+    steps, unless the identity diagram (never capped, so never zero)
+    has a nonzero lowest slot, all values are shifted down by the zero
+    slots they share, an exact division.  The values are summed per
+    closure loop count, which fixes the parity, and decoded once, at
+    the end.
     """
     _check_tl_ops((word,), ops_budget)
     n = word.strands
     k = word.crossing_count + 2
+    low_slot = (1 << k) - 1
+    letters = word.letters
+    mirror = 2 * sum(x > 0 for x in letters) > len(letters)
+    if mirror:
+        letters = [-x for x in letters]
     diags = [_identity_diagram(n)]
     ids = {diags[0]: 0}
-    moves = [[None] for _ in range(n - 1)]
-    vec = {0: 1}
+    odd = [0]  # parity of the loop-free e-moves that reach each diagram
+    vals = [1]
+    # per generator: diagrams scanned, sources by capped target, and the
+    # (target, sources) pairs of even and of odd targets
+    tables = [[0, {}, [], []] for _ in range(n - 1)]
     off = 0
-    for step, letter in enumerate(word.letters, 1):
+    for step, letter in enumerate(letters, 1):
         i = abs(letter) - 1
-        move = moves[i]
-        if letter > 0:
-            off -= 2
-            keep, cap = 2 * k, 0
+        table = tables[i]
+        d, sources, evens, odds = table
+        while d < len(diags):
+            nd, loop = _compose_e(diags[d], i, n)
+            c = d if loop else ids.get(nd)
+            if c is None:
+                c = ids[nd] = len(diags)
+                diags.append(nd)
+                odd.append(odd[d] ^ 1)
+                vals.append(0)
+            srcs = sources.get(c)
+            if srcs is None:
+                srcs = sources[c] = []
+                (odds if odd[c] else evens).append((c, srcs))
+            if not loop:
+                srcs.append(d)
+            d += 1
+        table[0] = d
+        get = vals.__getitem__
+        if letter < 0:
+            new = vals[:]
+            for c, srcs in evens:
+                new[c] = (sum(map(get, srcs)) - vals[c]) << k
+            for c, srcs in odds:
+                new[c] = sum(map(get, srcs)) - (vals[c] << k)
         else:
-            keep, cap = 0, 2 * k
-        new = {}
-        get = new.get
-        for d, value in vec.items():
-            t = move[d]
-            if t is None:
-                nd, loop = _compose_e(diags[d], i, n)
-                t = -1 if loop else ids.get(nd)
-                if t is None:
-                    t = ids[nd] = len(diags)
-                    diags.append(nd)
-                    for m in moves:
-                        m.append(None)
-                move[d] = t
-            if t < 0:
-                new[d] = get(d, 0) - (value << cap)
-            else:
-                new[d] = get(d, 0) + (value << keep)
-                new[t] = get(t, 0) + (value << k)
-        vec = new
-        if step % _TL_RENORM_STEPS == 0:
-            low = reduce(or_, vec.values(), 0)
-            slots = ((low & -low).bit_length() - 1) // k if low else 0
-            off += slots
-            vec = {d: v >> (slots * k) for d, v in vec.items() if v}
+            off -= 1
+            new = [v << k for v in vals]
+            for c, srcs in evens:
+                new[c] = (sum(map(get, srcs)) << k) - vals[c]
+            for c, srcs in odds:
+                new[c] = sum(map(get, srcs)) - vals[c]
+        vals = new
+        if step % _TL_RENORM_STEPS == 0 and not vals[0] & low_slot:
+            low = reduce(or_, vals)
+            slots = ((low & -low).bit_length() - 1) // k
+            if slots:
+                off += slots
+                vals = [v >> (slots * k) for v in vals]
     groups = {}
-    for d, value in vec.items():
-        loops = _closure_loops(diags[d], n)
-        groups[loops] = groups.get(loops, 0) + value
-    base = word.writhe + 2 * off  # A-exponent of slot 0
-    return _closure_sum((loops, {base + 2 * j: c for j, c in _unpack(v, k).items()})
-                        for loops, v in groups.items())
+    for d, value in enumerate(vals):
+        if value:
+            loops = _closure_loops(diags[d], n)
+            groups[loops] = groups.get(loops, 0) + value
+    sign = -1 if mirror else 1
+    return _closure_sum(
+        (loops, {word.writhe + sign * (4 * (off + j) + 2 * ((loops + n) & 1)): c
+                 for j, c in _unpack(v, k).items()})
+        for loops, v in groups.items())
 
 
 def _bracket_to_jones(bracket, writhe):

@@ -136,7 +136,7 @@ def test_state_sum_equals_per_state_sum():
             links[comps].append(w)
     words += links[2] + links[3]
     words += [random_word_on(rng, n, c) for n, c in ((2, 14), (4, 13), (5, 14))]
-    assert len(words) >= 300
+    assert len(words) >= 280
     assert {x > 0 for w in words for x in w.letters} == {True, False}
     assert max(w.crossing_count for w in words) == 14
     assert any(len({abs(x) for x in w.letters} | {abs(x) + 1 for x in w.letters})
@@ -348,6 +348,26 @@ def random_word_on(rng, n, length):
     return BraidWord(n, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
+def biased_word_on(rng, n, length, positive):
+    """A random word whose letters are positive with probability ``positive``."""
+    return BraidWord(n, tuple(rng.randint(1, n - 1) * (1 if rng.random() < positive else -1)
+                              for _ in range(length)))
+
+
+def tied_word_on(rng, n, length):
+    """A random word with as many positive as negative letters."""
+    signs = [1, -1] * (length // 2)
+    rng.shuffle(signs)
+    return BraidWord(n, tuple(s * rng.randint(1, n - 1) for s in signs))
+
+
+def mirror_side(word):
+    """+1 when most letters are positive (the transfer runs on the mirror
+    word), -1 when most are negative, 0 for a tie."""
+    pos = sum(x > 0 for x in word.letters)
+    return (2 * pos > word.crossing_count) - (2 * pos < word.crossing_count)
+
+
 def test_tl_bracket_equals_dict_transfer():
     rng = random.Random(20261018)
     words = [BraidWord(n, ()) for n in range(1, 9)]
@@ -363,8 +383,17 @@ def test_tl_bracket_equals_dict_transfer():
     words += links + [long3, long3.mirror(),
                       braid_for(TTKParams(p=9, q=2, r=7, twist_n=1)),
                       braid_for(TTKParams(p=9, q=7, r=2, twist_n=1))]
-    assert len(words) >= 200
+    # both sides of the mirror choice, and the tie between them, also on
+    # long words of 3 and 4 strands, where k > 100
+    for n in range(2, 8):
+        words += [biased_word_on(rng, n, rng.randint(4, 16), positive)
+                  for positive in (0.85, 0.15) for _ in range(4)]
+        words += [tied_word_on(rng, n, 2 * rng.randint(2, 8)) for _ in range(4)]
+    long4 = biased_word_on(rng, 4, 120, 0.7)  # k = 122 bits
+    words += [long4, long4.mirror(), tied_word_on(rng, 3, 140), tied_word_on(rng, 4, 110)]
+    assert len(words) >= 280
     assert {x > 0 for w in words for x in w.letters} == {True, False}
+    assert {mirror_side(w) for w in words if w.crossing_count > 100} == {1, 0, -1}
     for w in words:
         assert tl_bracket(w) == dict_tl_bracket(w), w
     for w in links:
@@ -384,6 +413,48 @@ def short_words(draw, max_strands=6, max_crossings=12):
 @given(short_words())
 def test_tl_bracket_equals_state_sum(word):
     assert tl_bracket(word) == kauffman_bracket(word)
+
+
+@st.composite
+def one_sign_words(draw, max_strands=6, max_crossings=12):
+    """Words with most letters of one drawn sign: fewer than a third of
+    them take the other sign."""
+    n = draw(st.integers(2, max_strands))
+    sign = draw(st.sampled_from((1, -1)))
+    gens = draw(st.lists(st.integers(1, n - 1), max_size=max_crossings))
+    flipped = draw(st.sets(st.integers(0, max(len(gens) - 1, 0)), max_size=len(gens) // 3))
+    return BraidWord(n, tuple(-sign * g if j in flipped else sign * g
+                              for j, g in enumerate(gens)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_sign_words())
+def test_tl_bracket_equals_state_sum_on_one_sign_words(word):
+    assert mirror_side(word) != 0 or not word.letters
+    assert tl_bracket(word) == kauffman_bracket(word)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_loop_free_moves_fix_each_diagrams_parity(n):
+    # the u^2 packing of tl_bracket: every TL_n diagram is reached from the
+    # identity, and only ever by an even or only by an odd number of
+    # loop-free e-moves, which is the parity of its closure's loop count
+    # minus n (each e-move is a saddle on the closure)
+    start = invariants._identity_diagram(n)
+    parity, todo = {start: 0}, [start]
+    while todo:
+        diag = todo.pop()
+        for i in range(n - 1):
+            nd, loop = invariants._compose_e(diag, i, n)
+            if loop:
+                continue
+            if nd not in parity:
+                parity[nd] = parity[diag] ^ 1
+                todo.append(nd)
+            assert parity[nd] == parity[diag] ^ 1, (diag, i)
+    assert len(parity) == math.comb(2 * n, n) // (n + 1)
+    for diag, odd in parity.items():
+        assert (invariants._closure_loops(diag, n) - n) % 2 == odd, diag
 
 
 @settings(max_examples=60, deadline=None)
