@@ -238,14 +238,12 @@ def _unpack(value, k):
     return digits
 
 
-# Steps between the scans for common low zero slots to drop.  A scan is
-# skipped while the identity diagram's lowest slot is nonzero, which holds
-# throughout a word with no positive letter after the mirror choice, such
-# as the piece of K(9,2,7,+1) (9 strands, 58 crossings): no scan at any
-# interval.  On the piece of K(16,9,7,-1) (9 strands, 158 crossings, 36
-# positive after mirroring; medians of 15 runs, 2-CPU x86-64, CPython
-# 3.11) every 1, 2, 4, 8 steps took 0.61, 0.51, 0.48, 0.45 s in 36, 18,
-# 9, 4 scans, at a tracemalloc peak of 14.7, 15.1, 14.8, 15.2 MB.
+# Steps between the scans for common low zero slots to drop.  Medians of
+# 15 runs (2-CPU x86-64, CPython 3.11) at every 1, 2, 4, 8 steps: the
+# piece of K(9,2,7,+1) (9 strands, 58 crossings) took 0.055, 0.049,
+# 0.044, 0.045 s, at a tracemalloc peak of 3.0, 2.5, 2.5, 2.5 MB; the
+# piece of K(16,9,7,-1) (9 strands, 158 crossings) took 0.62, 0.47,
+# 0.45, 0.40 s, at 14.7, 15.1, 14.8, 15.2 MB.
 _TL_RENORM_STEPS = 4
 
 
@@ -287,18 +285,17 @@ def tl_bracket(word, ops_budget=DEFAULT_TL_OPS):
     then at most 2^c < 2^(k-1) in absolute value for k = c + 2.  So
     balanced base-2^k digits decode it exactly, and a nonzero value's
     lowest nonzero slot is its trailing-zero count // k.  Every few
-    steps, unless the identity diagram (never capped, so never zero)
-    has a nonzero lowest slot, all values are shifted down by the zero
-    slots they share, an exact division.  The values are summed per
-    closure loop count, which fixes the parity, and decoded once, at
-    the end.
+    steps all values are shifted down by the zero slots they share, an
+    exact division; the identity diagram is never capped, so its value
+    is never zero.  The values are summed per closure loop count, which
+    fixes the parity, and decoded once, at the end.
     """
     _check_tl_ops((word,), ops_budget)
     n = word.strands
     k = word.crossing_count + 2
-    low_slot = (1 << k) - 1
     letters = word.letters
-    mirror = 2 * sum(x > 0 for x in letters) > len(letters)
+    writhe = word.writhe
+    mirror = writhe > 0  # more positive than negative letters
     if mirror:
         letters = [-x for x in letters]
     diags = [_identity_diagram(n)]
@@ -344,7 +341,7 @@ def tl_bracket(word, ops_budget=DEFAULT_TL_OPS):
             for c, srcs in odds:
                 new[c] = sum(map(get, srcs)) - vals[c]
         vals = new
-        if step % _TL_RENORM_STEPS == 0 and not vals[0] & low_slot:
+        if step % _TL_RENORM_STEPS == 0:
             low = reduce(or_, vals)
             slots = ((low & -low).bit_length() - 1) // k
             if slots:
@@ -357,7 +354,7 @@ def tl_bracket(word, ops_budget=DEFAULT_TL_OPS):
             groups[loops] = groups.get(loops, 0) + value
     sign = -1 if mirror else 1
     return _closure_sum(
-        (loops, {word.writhe + sign * (4 * (off + j) + 2 * ((loops + n) & 1)): c
+        (loops, {writhe + sign * (4 * (off + j) + 2 * ((loops + n) & 1)): c
                  for j, c in _unpack(v, k).items()})
         for loops, v in groups.items())
 

@@ -136,7 +136,7 @@ def test_state_sum_equals_per_state_sum():
             links[comps].append(w)
     words += links[2] + links[3]
     words += [random_word_on(rng, n, c) for n, c in ((2, 14), (4, 13), (5, 14))]
-    assert len(words) >= 280
+    assert len(words) >= 300
     assert {x > 0 for w in words for x in w.letters} == {True, False}
     assert max(w.crossing_count for w in words) == 14
     assert any(len({abs(x) for x in w.letters} | {abs(x) + 1 for x in w.letters})
