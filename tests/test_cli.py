@@ -388,3 +388,96 @@ def test_golden_invariant_and_verify_json(capsys):
     assert out == ('{"claim": "prop12-1", "invariants": {"alexander": "equal", '
                    '"jones": "skipped"}, "params": {"k_max": 2, "m": 2, "n": 7}, '
                    '"verdict": "consistent"}\n')
+
+
+# `ttk verify` byte for byte: every claim in text and JSON, each scope
+# refusal (exit 1), each missing-flag usage error (exit 2), and Jones
+# skipped by --tl-ops, in whole and in part (prop12-1 to k_max = 3 at 400
+# ops computes only its k = 1 step).
+_VERIFY_GOLDEN = [
+    ('verify lemma7 -p 5 -q 2', 0,
+     'lemma7(p=5,q=2): alexander=equal jones=equal -> consistent\n', ''),
+    ('verify lemma7 -p 5 -q 2 --format json', 0,
+     '{"claim": "lemma7", "invariants": {"alexander": "equal", "jones": '
+     '"equal"}, "params": {"p": 5, "q": 2}, "verdict": "consistent"}\n', ''),
+    ('verify lemma8 -p 3 -q 2', 0,
+     'lemma8(p=3,q=2): alexander=equal jones=mirror -> consistent\n', ''),
+    ('verify lemma8 -p 3 -q 2 --format json', 0,
+     '{"claim": "lemma8", "invariants": {"alexander": "equal", "jones": '
+     '"mirror"}, "params": {"p": 3, "q": 2}, "verdict": "consistent"}\n', ''),
+    ('verify lemma9 -m 1 -n 2 -k 1', 0,
+     'lemma9(m=1,n=2,k=1): alexander=equal jones=equal -> consistent\n', ''),
+    ('verify lemma9 -m 1 -n 2 -k 1 --format json', 0,
+     '{"claim": "lemma9", "invariants": {"alexander": "equal", "jones": '
+     '"equal"}, "params": {"k": 1, "m": 1, "n": 2}, "verdict": '
+     '"consistent"}\n', ''),
+    ('verify lemma9 -m 1 -n 2', 0,
+     'lemma9(m=1,n=2,k=0): alexander=equal jones=equal -> consistent\n', ''),
+    ('verify prop12-1 -m 1 -n 2 --kmax 2', 0,
+     'prop12-1(m=1,n=2,k_max=2): alexander=equal jones=mirror -> '
+     'consistent\n', ''),
+    ('verify prop12-1 -m 1 -n 2 --kmax 2 --format json', 0,
+     '{"claim": "prop12-1", "invariants": {"alexander": "equal", '
+     '"jones": "mirror"}, "params": {"k_max": 2, "m": 1, "n": 2}, '
+     '"verdict": "consistent"}\n', ''),
+    ('verify prop12-1 -m 1 -n 3', 0,
+     'prop12-1(m=1,n=3,k_max=2): alexander=equal jones=mirror -> '
+     'consistent\n', ''),
+    ('verify corollary -m 2 -n 7 --kmax 3', 0,
+     'corollary(m=2,n=7,k_max=3): maximal=False torus=[False, False, '
+     'False, False] -> consistent\n', ''),
+    ('verify corollary -m 2 -n 7 --kmax 3 --format json', 0,
+     '{"claim": "corollary", "invariants": {"maximal": false, "torus": '
+     '[false, false, false, false]}, "params": {"k_max": 3, "m": 2, "n": '
+     '7}, "verdict": "consistent"}\n', ''),
+    ('verify corollary -m 3 -n 7 --kmax 0', 0,
+     'corollary(m=3,n=7,k_max=0): maximal=True torus=[True] -> '
+     'consistent\n', ''),
+    ('verify slopes -m 2 -n 7 --kmax 3', 0,
+     'consistent\n', ''),
+    ('verify slopes -m 2 -n 7 --kmax 3 --format json', 0,
+     '{"claim": "slopes", "first_violation": null, "ok": true}\n', ''),
+    ('verify lemma7 -p 5 -q 3', 1,
+     '', 'error: lemma 7 needs coprime p, q >= 2 with p > 2q\n'),
+    ('verify lemma8 -p 2 -q 3', 1,
+     '', 'error: lemma 8 needs coprime p > q >= 2\n'),
+    ('verify lemma9 -m 2 -n 4', 1,
+     '', 'error: lemma 9 needs positive coprime seeds and k >= 0\n'),
+    ('verify lemma9 -m 1 -n 2 -k -1', 1,
+     '', 'error: lemma 9 needs positive coprime seeds and k >= 0\n'),
+    ('verify prop12-1 -m 1 -n 2 --kmax 0', 1,
+     '', 'error: need positive coprime seeds and k_max >= 1\n'),
+    ('verify corollary -m 3 -n 2', 1,
+     '', 'error: need coprime seeds with 1 < m < n\n'),
+    ('verify slopes -m 2 -n 7 --kmax 0', 1,
+     '', 'error: k_max must be >= 1\n'),
+    ('verify lemma7 -q 2', 2,
+     '', 'error: verify lemma7 needs -p and -q\n'),
+    ('verify lemma8 -m 1 -n 2', 2,
+     '', 'error: verify lemma8 needs -p and -q\n'),
+    ('verify lemma9 -p 2 -q 4', 2,
+     '', 'error: verify lemma9 needs -m and -n\n'),
+    ('verify prop12-1 -m 1', 2,
+     '', 'error: verify prop12-1 needs -m and -n\n'),
+    ('verify corollary -n 7', 2,
+     '', 'error: verify corollary needs -m and -n\n'),
+    ('verify slopes -p 2 -q 7', 2,
+     '', 'error: verify slopes needs -m and -n\n'),
+    ('--tl-ops 10 verify lemma9 -m 1 -n 2 -k 1', 0,
+     'lemma9(m=1,n=2,k=1): alexander=equal jones=skipped -> consistent\n', ''),
+    ('--tl-ops 10 verify prop12-1 -m 1 -n 2 --kmax 2 --format json', 0,
+     '{"claim": "prop12-1", "invariants": {"alexander": "equal", '
+     '"jones": "skipped"}, "params": {"k_max": 2, "m": 1, "n": 2}, '
+     '"verdict": "consistent"}\n', ''),
+    ('--tl-ops 400 verify prop12-1 -m 1 -n 2 --kmax 3', 0,
+     'prop12-1(m=1,n=2,k_max=3): alexander=equal jones=mirror -> '
+     'consistent\n', ''),
+    ('--tl-ops 0 verify lemma7 -p 5 -q 2', 2,
+     '', 'error: tl_ops must be >= 1\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _VERIFY_GOLDEN,
+                         ids=[g[0] for g in _VERIFY_GOLDEN])
+def test_golden_verify(capsys, argv, code, out, err):
+    assert run(capsys, *argv.split()) == (code, out, err)

@@ -6,7 +6,7 @@ from ttklib.braids import TTKParams, braid_for
 from ttklib.errors import DomainError
 from ttklib.horadam import HoradamSpec, slope_s, slope_t
 from ttklib.invariants import alexander, torus_alexander
-from ttklib.knots import (HoradamTTK, corollary_maximal_pair_check,
+from ttklib.knots import (HoradamTTK, Limits, corollary_maximal_pair_check,
                           lee_torus_neg_kq, lee_torus_pos, lee_torus_qsmall,
                           resolve, surface_slope, type1_reduce,
                           verify_corollary, verify_lemma, verify_lemma7,
@@ -168,6 +168,26 @@ def test_verify_dispatch():
     assert rep.verdict == "consistent"
     with pytest.raises(DomainError):
         verify_lemma("lemma99", {})
+
+
+# At 400 TL operations prop12-1 (1,2,3) computes Jones on its k = 1 step
+# only, so its details mix "mirror" and "skipped".
+@pytest.mark.parametrize("name, params, named", [
+    ("lemma7", {"p": 5, "q": 2}, lambda lim: verify_lemma7(5, 2, lim)),
+    ("lemma8", {"p": 3, "q": 2}, lambda lim: verify_lemma8(3, 2, lim)),
+    ("lemma9", {"m": 1, "n": 2, "k": 1}, lambda lim: verify_lemma9(1, 2, 1, lim)),
+    ("lemma9", {"m": 1, "n": 2}, lambda lim: verify_lemma9(1, 2, 0, lim)),
+    ("prop12-1", {"m": 1, "n": 2, "k_max": 3},
+     lambda lim: verify_prop12_1(1, 2, 3, lim)),
+    ("prop12_1", {"m": 1, "n": 2}, lambda lim: verify_prop12_1(1, 2, 1, lim)),
+    ("corollary", {"m": 2, "n": 7, "k_max": 3}, lambda lim: verify_corollary(2, 7, 3)),
+    ("corollary", {"m": 3, "n": 7}, lambda lim: verify_corollary(3, 7, 1)),
+])
+def test_verify_lemma_matches_named_function(name, params, named):
+    limits = Limits(tl_ops=400)
+    rep, want = verify_lemma(name, params, limits), named(limits)
+    assert rep.to_json_dict() == want.to_json_dict()
+    assert rep.details == want.details
 
 
 def test_six_types_are_primitive_primitive():
