@@ -286,16 +286,13 @@ class CensusReport:
 
 def _census(bound, report=None):
     """The one census walk: the columns of each coprime pair, in order
-    (see _walk), filling the report as the pairs pass.  Both tables are built
-    up front, the report's own first, so a bad bound is refused as its
-    census does; every row carries the ps families, so the floor is
-    theirs."""
+    (see _walk), filling the report as the pairs pass.  Both tables are
+    built up front; every row carries the ps families, so the bound is
+    refused below their floor before either is built."""
     if bound < 5:
         raise DomainError("bound must be >= 5, since census rows carry "
                           "the ps families")
-    kinds = ("ps", "pp") if report is not None and report.kind == "ps" else ("pp", "ps")
-    fam = {k: pp_families(bound) if k == "pp" else ps_families(bound) for k in kinds}
-    return _walk(bound, fam["pp"], fam["ps"], report)
+    return _walk(bound, pp_families(bound), ps_families(bound), report)
 
 
 class _InOrder:

@@ -25,7 +25,7 @@ from .horadam import (HoradamSpec, check_slope_relations,
                       is_maximal_pair, slope_values)
 from .invariants import (DEFAULT_TL_OPS, invariant_report, torus_alexander,
                          torus_jones)
-from .knots import Limits, verify_lemma
+from .knots import CLAIMS, Limits, verify_lemma
 
 _CSV_COLUMNS = ["p", "q", "r", "pp", "pp_families", "ps", "ps_beta",
                 "ps_families", "flags"]
@@ -41,6 +41,7 @@ def _build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     hor = sub.add_parser("horadam", help="sequence queries")
+    hor.set_defaults(run=_cmd_horadam)
     hsub = hor.add_subparsers(dest="subcommand", required=True)
     for name in ("term", "slopes", "euclid", "maximal", "embed"):
         hp = hsub.add_parser(name)
@@ -54,9 +55,11 @@ def _build_parser():
             hp.add_argument("--kmax", type=int, default=8)
 
     br = sub.add_parser("braid", help="emit a twisted torus knot braid word")
+    br.set_defaults(run=_cmd_braid)
     _add_ttk_args(br)
 
     inv = sub.add_parser("invariant", help="invariants of a braid closure")
+    inv.set_defaults(run=_cmd_invariant)
     _add_ttk_args(inv, required=False)
     inv.add_argument("--torus", nargs=2, type=int, metavar=("P", "Q"),
                      help="closed-form invariants of the torus knot T(P,Q)")
@@ -66,20 +69,21 @@ def _build_parser():
     inv.add_argument("--format", choices=["text", "json"], default="text")
 
     cen = sub.add_parser("census", help="classification censuses")
+    cen.set_defaults(run=_cmd_census)
     cen.add_argument("kind", choices=["pp", "ps"])
     cen.add_argument("--bound", type=int, default=60)
     cen.add_argument("--format", choices=["json", "csv"], default="json")
     cen.add_argument("--out", type=str, default=None)
 
     ver = sub.add_parser("verify", help="invariant-based verification")
-    ver.add_argument("claim", choices=["lemma7", "lemma8", "lemma9",
-                                       "prop12-1", "corollary", "slopes"])
+    ver.set_defaults(run=_cmd_verify)
+    ver.add_argument("claim", choices=[*CLAIMS, "slopes"])
     ver.add_argument("-p", type=int)
     ver.add_argument("-q", type=int)
     ver.add_argument("-m", type=int)
     ver.add_argument("-n", type=int)
     ver.add_argument("-k", type=int, default=0)
-    ver.add_argument("--kmax", type=int, default=2)
+    ver.add_argument("--kmax", dest="k_max", metavar="KMAX", type=int, default=2)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     return ap
 
@@ -112,7 +116,7 @@ def _require_printable(values):
                 f"integers of at most {limit} (sys.set_int_max_str_digits)")
 
 
-def _cmd_horadam(args):
+def _cmd_horadam(args, limits):
     m, n = args.m, args.n
     if args.subcommand == "term":
         spec = HoradamSpec(m, n, args.coef_a, args.coef_b)
@@ -141,7 +145,7 @@ def _cmd_horadam(args):
     return 0
 
 
-def _cmd_braid(args):
+def _cmd_braid(args, limits):
     params = TTKParams(p=args.p, q=args.q, r=args.r, twist_n=args.twist)
     print(braid_for(params).to_text())
     return 0
@@ -218,7 +222,7 @@ def _write_json(fh, pairs, bound):
         fh.write("".join(lines))
 
 
-def _cmd_census(args):
+def _cmd_census(args, limits):
     report = CensusReport(args.kind, args.bound, [], [], [])
     pairs = _census(args.bound, report)
     try:
@@ -240,13 +244,13 @@ def _cmd_census(args):
 
 
 def _cmd_verify(args, limits):
-    needs = ("p", "q") if args.claim in ("lemma7", "lemma8") else ("m", "n")
-    if any(getattr(args, a) is None for a in needs):
-        print(f"error: verify {args.claim} needs -{needs[0]} and -{needs[1]}",
+    names = CLAIMS[args.claim][1] if args.claim in CLAIMS else ("m", "n")
+    if any(vars(args)[a] is None for a in names):
+        print(f"error: verify {args.claim} needs -{names[0]} and -{names[1]}",
               file=sys.stderr)
         return 2
     if args.claim == "slopes":
-        rep = check_slope_relations(HoradamSpec(args.m, args.n), args.kmax)
+        rep = check_slope_relations(HoradamSpec(args.m, args.n), args.k_max)
         if args.format == "json":
             print(json.dumps({"claim": "slopes", "ok": rep.ok,
                               "first_violation": rep.first_violation},
@@ -254,11 +258,7 @@ def _cmd_verify(args, limits):
         else:
             print("consistent" if rep.ok else f"violation: {rep.first_violation}")
         return 0 if rep.ok else 1
-    if args.claim in ("lemma7", "lemma8"):
-        params = {"p": args.p, "q": args.q}
-    else:
-        params = {"m": args.m, "n": args.n, "k": args.k, "k_max": args.kmax}
-    rep = verify_lemma(args.claim, params, limits)
+    rep = verify_lemma(args.claim, {a: vars(args)[a] for a in names}, limits)
     if args.format == "json":
         print(json.dumps(rep.to_json_dict(), sort_keys=True))
     else:
@@ -277,20 +277,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "horadam":
-            return _cmd_horadam(args)
-        if args.command == "braid":
-            return _cmd_braid(args)
-        if args.command == "invariant":
-            return _cmd_invariant(args, limits)
-        if args.command == "census":
-            return _cmd_census(args)
-        if args.command == "verify":
-            return _cmd_verify(args, limits)
+        return args.run(args, limits)
     except TTKError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def entry():

@@ -5,14 +5,17 @@ K(p,q,r,+-1) in six essentially distinct ways (types 1-6).  This module
 resolves those types to parameters, computes surface slopes, decides
 torus-knot membership via the three closed-form detection theorems, and
 verifies the isotopy/mirror statements by comparing braid-closure
-invariants.  Equal invariants corroborate a claim; unequal invariants
-falsify the implementation, so verification reports carry a hard
-verdict.
+invariants, in one loop over steps (k, word_a, word_b): a lemma is one
+step, and Proposition 12's type-1 reduction a chain of mirror steps.
+``CLAIMS`` names each claim's function and parameters.  Equal invariants
+corroborate a claim; unequal invariants falsify the implementation, so
+verification reports carry a hard verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 
 from .braids import TTKParams, braid_for
@@ -160,6 +163,8 @@ def corollary_maximal_pair_check(seed_m, seed_n, k_max):
     exactly when (m, n) is a maximal pair; checked for k <= k_max."""
     if not (1 < seed_m < seed_n) or gcd(seed_m, seed_n) != 1:
         raise DomainError("need coprime seeds with 1 < m < n")
+    if k_max < 0:
+        raise DomainError("need k_max >= 0")
     maximal = is_maximal_pair(seed_m, seed_n)
     seq = HoradamSpec(seed_m, seed_n).terms(k_max + 3)
     per_k = []
@@ -199,7 +204,7 @@ class Limits:
 class VerificationReport:
     claim: str
     params: dict
-    invariants: dict  # e.g. {"alexander": "equal", "jones": "mirror"|"skipped"}
+    invariants: dict  # e.g. {"alexander": "equal", "jones": "mirror"|"mismatch"|"skipped"}
     verdict: str      # "consistent" or "inconsistent"
     details: list = field(default_factory=list)
 
@@ -208,36 +213,45 @@ class VerificationReport:
                 "invariants": self.invariants, "verdict": self.verdict}
 
 
-def _once(memo, fn, word, *args):
-    """fn(word, *args), computed at most once per word within ``memo``."""
-    if (fn, word) not in memo:
-        memo[fn, word] = fn(word, *args)
-    return memo[fn, word]
+def _verify(claim, params, steps, relation, limits):
+    """Compare the closures of each step (k, word_a, word_b) under the
+    asserted relation "equal" or "mirror": Alexander always, Jones only
+    when the pieces of both words pass the Temperley-Lieb budget up front.
+    Each word's invariants are computed once.  Details are kept for the
+    steps that have a k.  Jones sums up as "mismatch" if any step
+    mismatched, else as the relation if any step computed it, else as
+    "skipped"."""
+    limits = limits or Limits()
+    alexander_of = cache(alexander)
+    jones_of = cache(lambda w: jones(w, "tl", limits.tl_ops))
+    invs, details = [], []
+    for k, word_a, word_b in steps:
+        inv = {"alexander": ("equal" if alexander_of(word_a) == alexander_of(word_b)
+                             else "unequal"), "jones": "skipped"}
+        try:
+            for w in (word_a, word_b):
+                _check_tl_ops(split_closure(w)[3], limits.tl_ops)
+        except BudgetError:
+            pass
+        else:
+            va, vb = jones_of(word_a), jones_of(word_b)
+            if relation == "mirror":
+                va = va.mirrored()
+            inv["jones"] = relation if va == vb else "mismatch"
+        invs.append(inv)
+        if k is not None:
+            details.append({"k": k, **inv})
+    alex = "unequal" if any(i["alexander"] == "unequal" for i in invs) else "equal"
+    found = {i["jones"] for i in invs}
+    jones_sum = next((j for j in ("mismatch", relation) if j in found), "skipped")
+    ok = alex == "equal" and jones_sum != "mismatch"
+    return VerificationReport(claim, params, {"alexander": alex, "jones": jones_sum},
+                              "consistent" if ok else "inconsistent", details)
 
 
-def _compare_pair(word_a, word_b, relation, limits, memo):
-    """Compare Alexander (always) and Jones (only when the pieces of both
-    words pass the Temperley-Lieb budget up front) of two braid closures
-    under the asserted relation "equal" or "mirror"."""
-    alex_a, alex_b = _once(memo, alexander, word_a), _once(memo, alexander, word_b)
-    inv = {"alexander": "equal" if alex_a == alex_b else "unequal", "jones": "skipped"}
-    ok = alex_a == alex_b
-    try:
-        for w in (word_a, word_b):
-            _check_tl_ops(split_closure(w)[3], limits.tl_ops)
-    except BudgetError:
-        return inv, ok
-    va, vb = (_once(memo, jones, w, "tl", limits.tl_ops) for w in (word_a, word_b))
-    if vb == (va if relation == "equal" else va.mirrored()):
-        inv["jones"] = relation
-    else:
-        inv["jones"], ok = "mismatch", False
-    return inv, ok
-
-
-def _verify_pair(claim, params, word_a, word_b, relation, limits):
-    inv, ok = _compare_pair(word_a, word_b, relation, limits or Limits(), {})
-    return VerificationReport(claim, params, inv, "consistent" if ok else "inconsistent")
+def _ttk_word(seed_m, seed_n, k, type_index):
+    """Braid word of a Horadam twisted torus knot, degenerate seeds allowed."""
+    return braid_for(resolve(HoradamTTK(seed_m, seed_n, k, type_index), strict=False))
 
 
 def verify_lemma7(p, q, limits=None):
@@ -246,7 +260,7 @@ def verify_lemma7(p, q, limits=None):
         raise DomainError("lemma 7 needs coprime p, q >= 2 with p > 2q")
     wa = braid_for(TTKParams(p=p, q=q, r=p - q, twist_n=1))
     wb = braid_for(TTKParams(p=p, q=p - q, r=q, twist_n=1))
-    return _verify_pair("lemma7", {"p": p, "q": q}, wa, wb, "equal", limits)
+    return _verify("lemma7", {"p": p, "q": q}, [(None, wa, wb)], "equal", limits)
 
 
 def verify_lemma8(p, q, limits=None):
@@ -255,49 +269,29 @@ def verify_lemma8(p, q, limits=None):
         raise DomainError("lemma 8 needs coprime p > q >= 2")
     wa = braid_for(TTKParams(p=p, q=q, r=p + q, twist_n=-1))
     wb = braid_for(TTKParams(p=p + q, q=p, r=q, twist_n=1))
-    return _verify_pair("lemma8", {"p": p, "q": q}, wa, wb, "mirror", limits)
+    return _verify("lemma8", {"p": p, "q": q}, [(None, wa, wb)], "mirror", limits)
 
 
 def verify_lemma9(seed_m, seed_n, k, limits=None):
     """K(H_{k+3}, H_{k+2}, H_{k+1}, -1) isotopic to
-    K(H_{k+1}, H_k, H_{k+2}, +1)."""
+    K(H_{k+1}, H_k, H_{k+2}, +1): type 3 at k+1 against type 6 at k."""
     if seed_m < 1 or seed_n < 1 or gcd(seed_m, seed_n) != 1 or k < 0:
         raise DomainError("lemma 9 needs positive coprime seeds and k >= 0")
-    H = HoradamSpec(seed_m, seed_n).terms(k + 4)
-    wa = braid_for(TTKParams(p=H[k + 3], q=H[k + 2], r=H[k + 1], twist_n=-1))
-    wb = braid_for(TTKParams(p=H[k + 1], q=H[k], r=H[k + 2], twist_n=1))
-    return _verify_pair("lemma9", {"m": seed_m, "n": seed_n, "k": k},
-                        wa, wb, "equal", limits)
+    step = (None, _ttk_word(seed_m, seed_n, k + 1, 3), _ttk_word(seed_m, seed_n, k, 6))
+    return _verify("lemma9", {"m": seed_m, "n": seed_n, "k": k}, [step], "equal",
+                   limits)
 
 
 def verify_prop12_1(seed_m, seed_n, k_max, limits=None):
     """The type-1 reduction chain: each K(H_{k+2}, H_k, H_{k+1}, -1) has
     the Alexander polynomial of its reduction (Alexander is mirror
     blind), and the Jones polynomials are mirror images step by step."""
-    limits = limits or Limits()
     if seed_m < 1 or seed_n < 1 or gcd(seed_m, seed_n) != 1 or k_max < 1:
         raise DomainError("need positive coprime seeds and k_max >= 1")
-    H = HoradamSpec(seed_m, seed_n).terms(k_max + 3)
-    words = [braid_for(TTKParams(p=H[k + 2], q=H[k], r=H[k + 1], twist_n=-1))
-             for k in range(k_max + 1)]
-    memo = {}
-    details = []
-    ok = True
-    jones_overall = "skipped"
-    for k in range(k_max, 0, -1):
-        inv, step_ok = _compare_pair(words[k], words[k - 1], "mirror", limits, memo)
-        details.append({"k": k, **inv})
-        ok = ok and step_ok
-        if inv["jones"] in ("mirror", "mismatch") and jones_overall == "skipped":
-            jones_overall = inv["jones"]
-        if inv["jones"] == "mismatch":
-            jones_overall = "mismatch"
-    alex_overall = ("equal" if all(d["alexander"] == "equal" for d in details)
-                    else "unequal")
-    return VerificationReport(
-        "prop12-1", {"m": seed_m, "n": seed_n, "k_max": k_max},
-        {"alexander": alex_overall, "jones": jones_overall},
-        "consistent" if ok else "inconsistent", details)
+    words = [_ttk_word(seed_m, seed_n, k, 1) for k in range(k_max + 1)]
+    return _verify("prop12-1", {"m": seed_m, "n": seed_n, "k_max": k_max},
+                   [(k, words[k], words[k - 1]) for k in range(k_max, 0, -1)],
+                   "mirror", limits)
 
 
 def verify_corollary(seed_m, seed_n, k_max):
@@ -311,19 +305,29 @@ def verify_corollary(seed_m, seed_n, k_max):
         [{"k": k, "torus": m} for k, m in rep.per_k])
 
 
+# claim name -> (verify function, its parameter names, in order)
+CLAIMS = {
+    "lemma7": (verify_lemma7, ("p", "q")),
+    "lemma8": (verify_lemma8, ("p", "q")),
+    "lemma9": (verify_lemma9, ("m", "n", "k")),
+    "prop12-1": (verify_prop12_1, ("m", "n", "k_max")),
+    "corollary": (verify_corollary, ("m", "n", "k_max")),
+}
+
+
 def verify_lemma(which, params, limits=None):
-    """Dispatch by claim name; ``params`` is a mapping of arguments."""
-    if which == "lemma7":
-        return verify_lemma7(params["p"], params["q"], limits)
-    if which == "lemma8":
-        return verify_lemma8(params["p"], params["q"], limits)
-    if which == "lemma9":
-        return verify_lemma9(params["m"], params["n"], params.get("k", 0), limits)
-    if which in ("prop12-1", "prop12_1"):
-        return verify_prop12_1(params["m"], params["n"], params.get("k_max", 1), limits)
-    if which == "corollary":
-        return verify_corollary(params["m"], params["n"], params.get("k_max", 1))
-    raise DomainError(f"unknown claim {which!r}")
+    """Dispatch by claim name (prop12_1 names prop12-1 too); ``params`` is
+    a mapping of arguments, where k defaults to 0 and k_max to 1."""
+    claim = "prop12-1" if which == "prop12_1" else which
+    if claim not in CLAIMS:
+        raise DomainError(f"unknown claim {which!r}")
+    fn, names = CLAIMS[claim]
+    params = {"k": 0, "k_max": 1, **params}
+    missing = [a for a in names if a not in params]
+    if missing:
+        raise DomainError(f"{claim} needs {', '.join(missing)}")
+    args = [params[a] for a in names]
+    return fn(*args) if fn is verify_corollary else fn(*args, limits)
 
 
 def torus_alexander_matches(params, match):

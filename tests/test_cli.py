@@ -449,6 +449,8 @@ _VERIFY_GOLDEN = [
      '', 'error: need positive coprime seeds and k_max >= 1\n'),
     ('verify corollary -m 3 -n 2', 1,
      '', 'error: need coprime seeds with 1 < m < n\n'),
+    ('verify corollary -m 2 -n 7 --kmax -1', 1,
+     '', 'error: need k_max >= 0\n'),
     ('verify slopes -m 2 -n 7 --kmax 0', 1,
      '', 'error: k_max must be >= 1\n'),
     ('verify lemma7 -q 2', 2,

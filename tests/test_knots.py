@@ -119,6 +119,13 @@ def test_corollary_examples():
     assert corollary_maximal_pair_check(3, 7, 4).consistent
 
 
+def test_corollary_refuses_negative_k_max():
+    # k_max = -1 would check no k at all and read "consistent"
+    with pytest.raises(DomainError, match="k_max >= 0"):
+        corollary_maximal_pair_check(2, 7, -1)
+    assert corollary_maximal_pair_check(2, 7, 0).per_k == [(0, False)]
+
+
 def test_type1_reduce():
     h, mirrored = type1_reduce(2, 7, 1)
     assert h == HoradamTTK(2, 7, 0, 1) and mirrored
@@ -168,6 +175,11 @@ def test_verify_dispatch():
     assert rep.verdict == "consistent"
     with pytest.raises(DomainError):
         verify_lemma("lemma99", {})
+    # a missing parameter is a domain error, not a KeyError
+    for name, params in [("lemma7", {"p": 5}), ("lemma9", {"n": 2}),
+                         ("prop12_1", {"m": 1}), ("corollary", {})]:
+        with pytest.raises(DomainError, match="needs"):
+            verify_lemma(name, params)
 
 
 # At 400 TL operations prop12-1 (1,2,3) computes Jones on its k = 1 step
